@@ -282,8 +282,8 @@ func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
 	c.instr(1)
 
 	// Fast path: the memo is consulted after instr(1), whose ifetch can
-	// insert TLB entries and run kernel code; the generation checks
-	// inside fastAccess observe any such mutation.
+	// insert TLB entries and run kernel code; the claim and generation
+	// checks inside fastAccess observe any such mutation.
 	if !c.cfg.NoFastPath {
 		if real, ok := c.fastAccess(va, kind); ok {
 			if check.Enabled && c.OnAccessCheck != nil {

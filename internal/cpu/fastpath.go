@@ -3,14 +3,19 @@
 // acceleration — it models no hardware). A reference that stays within a
 // memoized 4 KB page and hits the data cache charges the exact cycles
 // and bumps the exact counters the full path would, without re-running
-// the TLB associative scan, the cache victim logic, the bus/MMC model,
+// the TLB lookup, the cache victim logic, the bus/MMC model,
 // or the functional shadow-table DRAM walk.
 //
 // Correctness rests on three live checks per use (DESIGN.md §10):
 //
-//   - the CPU TLB generation: every Insert/Purge/PurgeAll/PurgeRange
-//     advances it, so remap() shootdowns, context switches and capacity
-//     evictions kill the memo without knowing it exists;
+//   - the TLB claim (tlbClaim): the memoized TLB entry still carries the
+//     install stamp it had when memoized, and the TLB's shape generation
+//     has not moved. Overwrites, evictions and purges — remap()
+//     shootdowns, context switches, capacity evictions — change the
+//     entry's stamp; the only other way Lookup could start answering
+//     the page with a different entry is an overlapping insert, which
+//     moves the shape generation, as does PurgeAll. Inserts and
+//     evictions of other pages leave the claim, and the memo, alive;
 //   - the shadow-table generation: every Set that changes which real
 //     frame backs a shadow page advances it, covering swap-out/in and
 //     recoloring;
@@ -36,6 +41,29 @@ import (
 // every paper workload's inner loop without making flushes costly.
 const memoSlots = 8
 
+// tlbClaim is a memo's hold on the TLB entry Lookup returns for a page:
+// the entry, its install stamp, and the TLB's shape generation when the
+// memo was made. Both CPU memos validate their TLB state with holds
+// alone.
+type tlbClaim struct {
+	entry *tlb.Entry
+	stamp uint64
+	shape uint64
+}
+
+// claim records that Lookup of the page being memoized returns e.
+func (c *CPU) claim(e *tlb.Entry) tlbClaim {
+	return tlbClaim{entry: e, stamp: e.Stamp(), shape: c.TLB.ShapeGen()}
+}
+
+// holds reports whether Lookup of the claimed page still returns the
+// claimed entry, unchanged, given the TLB's current shape generation:
+// the entry has not left its slot (same stamp) and no overlap has been
+// created and no PurgeAll has run since (same shape).
+func (cl *tlbClaim) holds(shape uint64) bool {
+	return cl.entry.Stamp() == cl.stamp && cl.shape == shape
+}
+
 // memoEntry caches one page's translation chain: virtual page → TLB
 // entry → (possibly shadow) physical page → real DRAM page.
 type memoEntry struct {
@@ -43,8 +71,7 @@ type memoEntry struct {
 	vbase    uint64     // 4 KB-aligned virtual base
 	paBase   arch.PAddr // physical (possibly shadow) base of the page
 	realBase arch.PAddr // real DRAM base after shadow translation
-	entry    *tlb.Entry // the installed TLB entry covering vbase
-	tlbGen   uint64     // TLB.Gen() when memoized
+	tlbClaim            // the installed TLB entry covering vbase
 	shGen    uint64     // ShadowTable.Gen() when memoized
 
 	// Line-grain repeat state: the last line hit within this page, valid
@@ -54,11 +81,12 @@ type memoEntry struct {
 	cacheGen     uint64 // Cache.Gen() when the line was verified
 }
 
-// FlushMemo discards every memoized translation. The generation checks
-// make this unnecessary for correctness — every invalidation source
-// already advances a generation the memo verifies on use — but explicit
-// flushes at context switches and OS shootdowns keep the engine honest
-// even if a future mutation path forgets to bump a generation.
+// FlushMemo discards every memoized translation. The claim and
+// generation checks make this unnecessary for correctness — every
+// invalidation source already changes a stamp or a generation the memo
+// verifies on use — but explicit flushes at context switches and OS
+// shootdowns keep the engine honest even if a future mutation path
+// forgets to.
 func (c *CPU) FlushMemo() {
 	for i := range c.memo {
 		c.memo[i] = memoEntry{}
@@ -86,47 +114,56 @@ func (c *CPU) memoize(va arch.VAddr, e *tlb.Entry, kind arch.AccessKind, pa, rea
 	}
 	vbase := uint64(va) &^ arch.PageMask
 	pageMask := arch.PAddr(arch.PageMask)
-	c.memo[(vbase>>arch.PageShift)&(memoSlots-1)] = memoEntry{
-		valid:        true,
-		vbase:        vbase,
-		paBase:       pa &^ pageMask,
-		realBase:     real &^ pageMask,
-		entry:        e,
-		tlbGen:       c.TLB.Gen(),
-		shGen:        c.shadowGen(),
-		lineBase:     c.Cache.LineBase(va),
-		lineWritable: kind == arch.Write,
-		cacheGen:     c.Cache.Gen(),
-	}
+	// Field by field rather than a composite literal: the literal is
+	// built on the stack and block-copied, which showed in profiles.
+	m := &c.memo[(vbase>>arch.PageShift)&(memoSlots-1)]
+	m.valid, m.vbase = true, vbase
+	m.paBase, m.realBase = pa&^pageMask, real&^pageMask
+	m.tlbClaim, m.shGen = c.claim(e), c.shadowGen()
+	m.lineBase, m.lineWritable, m.cacheGen = c.Cache.LineBase(va), kind == arch.Write, c.Cache.Gen()
 }
 
-// MemoDiag audits the fast-path memo for the invariant harness. Only
-// entries still at the current TLB/shadow generations are checked —
-// stale entries are dead by construction (fastAccess refuses them) —
-// and each live entry must re-derive the same translation chain from
-// the authoritative structures: the recorded TLB entry still covers the
-// page with the same target, and the shadow translation of paBase still
-// lands on realBase. After FlushMemo every slot is invalid, so the
-// audit trivially passes. Returns a description per inconsistent slot.
+// MemoDiag audits both page memos — the fast-path memo and the replay
+// memo — for the invariant harness. Only slots that would still be used
+// are checked: those whose TLB claim holds and whose shadow generation
+// is current (the rest are dead by construction; every use refuses
+// them). Each live slot must re-derive from the authoritative
+// structures: Probe of the page returns the claimed entry, the entry
+// translates the page to paBase, and, for the fast-path memo, the
+// shadow translation of paBase still lands on realBase. After FlushMemo
+// the fast-path slots are invalid and pass trivially. Returns a
+// description per inconsistent slot.
 func (c *CPU) MemoDiag() []string {
 	var bad []string
+	shape, shGen := c.TLB.ShapeGen(), c.shadowGen()
+	claimed := func(name string, i int, vbase uint64, cl *tlbClaim, paBase arch.PAddr) bool {
+		if e := c.TLB.Probe(vbase); e != cl.entry {
+			bad = append(bad, fmt.Sprintf("%s[%d] va %#x: claimed TLB entry is not the one Probe returns", name, i, vbase))
+			return false
+		}
+		if got := arch.PAddr(cl.entry.Translate(vbase)); got != paBase {
+			bad = append(bad, fmt.Sprintf("%s[%d] va %#x: paBase %v, TLB now translates to %v", name, i, vbase, paBase, got))
+			return false
+		}
+		return true
+	}
 	for i := range c.memo {
 		m := &c.memo[i]
-		if !m.valid || m.tlbGen != c.TLB.Gen() || m.shGen != c.shadowGen() {
+		if !m.valid || !m.holds(shape) || m.shGen != shGen {
 			continue
 		}
-		e := c.TLB.Probe(m.vbase)
-		if e == nil || e != m.entry {
-			bad = append(bad, fmt.Sprintf("memo[%d] va %#x: recorded TLB entry no longer installed", i, m.vbase))
-			continue
-		}
-		if got := arch.PAddr(e.Translate(m.vbase)); got != m.paBase {
-			bad = append(bad, fmt.Sprintf("memo[%d] va %#x: paBase %v, TLB now translates to %v", i, m.vbase, m.paBase, got))
+		if !claimed("memo", i, m.vbase, &m.tlbClaim, m.paBase) {
 			continue
 		}
 		real, err := c.VM.TranslateData(m.paBase)
 		if err != nil || real != m.realBase {
 			bad = append(bad, fmt.Sprintf("memo[%d] va %#x: realBase %v, shadow table now gives %v (err %v)", i, m.vbase, m.realBase, real, err))
+		}
+	}
+	for i := range c.rmemo {
+		rs := &c.rmemo[i]
+		if rs.valid && rs.holds(shape) && rs.shGen == shGen {
+			claimed("rmemo", i, rs.vbase, &rs.tlbClaim, rs.paBase)
 		}
 	}
 	return bad
@@ -143,7 +180,7 @@ func (c *CPU) fastAccess(va arch.VAddr, kind arch.AccessKind) (arch.PAddr, bool)
 	vbase := uint64(va) &^ arch.PageMask
 	m := &c.memo[(vbase>>arch.PageShift)&(memoSlots-1)]
 	if !m.valid || m.vbase != vbase ||
-		m.tlbGen != c.TLB.Gen() || m.shGen != c.shadowGen() {
+		!m.holds(c.TLB.ShapeGen()) || m.shGen != c.shadowGen() {
 		return 0, false
 	}
 	off := arch.PAddr(va.PageOff())

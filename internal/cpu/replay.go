@@ -30,10 +30,16 @@
 //     mutation that could clear it (an insert, purge, or another
 //     entry's touch aging the set) only happens inside an escape, which
 //     ends the deferred run;
+//   - a page's TLB claim (fastpath.go) holding means TLB.Lookup of the
+//     page would return the claimed entry: the entry's stamp is
+//     unchanged, so it has not been overwritten, evicted or purged, and
+//     the shape generation is unchanged, so no overlapping insert has
+//     put another entry in front of it. Replay slots therefore survive
+//     TLB mutations to other pages, exactly like fast-path memo slots;
 //   - TLB.Lookup on a hit is counter-equivalent to TLB.FastHit (one
-//     Stats.Hit plus the touch; lastHit is not a counter), so which
-//     memo — the fast-path memo, the replay memo, or none — holds a
-//     page never changes the counter stream;
+//     Stats.Hit plus the touch), so which memo — the fast-path memo,
+//     the replay memo, or none — holds a page never changes the
+//     counter stream;
 //   - Cache.FastHit/FastRepeatHit mutate nothing but hit counters, and
 //     Cache.Access on the hits FastHit accepts does exactly the same
 //     (replacement is round-robin, not recency-based, and write
@@ -59,7 +65,7 @@ var _ workload.ColStreamer = (*CPU)(nil)
 // replaySlots sizes the replay page memo: direct-mapped by virtual page
 // number, large enough to hold the paper workloads' hot page working
 // sets. Purely a simulator acceleration, like the fast-path memo: every
-// use is guarded by the same generation checks.
+// use is guarded by the same claim and generation checks.
 const replaySlots = 512
 
 // replayLineWords is the size of a per-page line bitmap: one bit per
@@ -69,15 +75,14 @@ const replayLineWords = arch.PageSize / arch.LineSize / 64
 // replaySlot caches one page's verified translation chain for the
 // batched replay loop.
 type replaySlot struct {
-	valid  bool
-	lineW  bool       // remembered line was modified (silent-write ok)
-	vbase  uint64     // 4 KB-aligned virtual base
-	entry  *tlb.Entry // installed TLB entry covering vbase
-	paBase arch.PAddr // physical (possibly shadow) base of the page
-	lineB  uint64     // last verified resident line, 0 when none
-	tlbGen uint64     // TLB.Gen() when cached
-	shGen  uint64     // shadow generation when cached
-	eGen   uint64     // CPU.rEpoch when the line bitmaps were started
+	valid    bool
+	lineW    bool       // remembered line was modified (silent-write ok)
+	vbase    uint64     // 4 KB-aligned virtual base
+	tlbClaim            // installed TLB entry covering vbase
+	paBase   arch.PAddr // physical (possibly shadow) base of the page
+	lineB    uint64     // last verified resident line, 0 when none
+	shGen    uint64     // shadow generation when cached
+	eGen     uint64     // CPU.rEpoch when the line bitmaps were started
 	// lines marks page lines verified resident; written marks those
 	// verified modified (stores need no upgrade). A set bit makes
 	// Cache.FastHit on that line a foregone conclusion — one counted
@@ -185,7 +190,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 
 	// Generations, reloaded after anything that could advance them.
 	c.drainEvictions()
-	tlbGen, shGen, cGen := c.TLB.Gen(), c.shadowGen(), c.Cache.Gen()
+	shape, shGen, cGen := c.TLB.ShapeGen(), c.shadowGen(), c.Cache.Gen()
 	epoch := c.rEpoch
 
 	// Hoisted state of the page the run is currently inside. noPage
@@ -220,7 +225,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	resync := func() {
 		si = c.sinceIFetch
 		c.drainEvictions()
-		tlbGen, shGen, cGen = c.TLB.Gen(), c.shadowGen(), c.Cache.Gen()
+		shape, shGen, cGen = c.TLB.ShapeGen(), c.shadowGen(), c.Cache.Gen()
 		epoch = c.rEpoch
 		curVBase = noPage
 		needTouch = true
@@ -244,16 +249,17 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	for i := 0; i < n; i++ {
 		// Retire whole compiled runs as counter arithmetic when the page
 		// memo proves every access in them hits. For each page the run
-		// spans: the replay slot holds the page at the current TLB and
-		// shadow generations, the page's TLB entry already has its NRU
-		// bit set (so every touch the run would do provably early-
-		// returns before any state change), and the run's line bitmaps
-		// are a subset of the slot's verified-resident (and, for stores,
-		// verified-modified) bitmaps. With the run's cycles fitting
-		// before the next instruction fetch, each retired reference is
-		// then exactly a deferred TLB hit plus a deferred cache hit —
-		// what the per-reference path below would have produced one
-		// iteration at a time — and no TLB, cache, or NRU state changes.
+		// spans: the replay slot holds the page under a TLB claim that
+		// still holds and at the current shadow generation, the page's
+		// TLB entry already has its NRU bit set (so every touch the run
+		// would do provably early-returns before any state change), and
+		// the run's line bitmaps are a subset of the slot's verified-
+		// resident (and, for stores, verified-modified) bitmaps. With
+		// the run's cycles fitting before the next instruction fetch,
+		// each retired reference is then exactly a deferred TLB hit
+		// plus a deferred cache hit — what the per-reference path below
+		// would have produced one iteration at a time — and no TLB,
+		// cache, or NRU state changes.
 		if ri < len(runs) && int(runs[ri].Start)-cols.Bit0 == i {
 			r := &runs[ri]
 			ri++
@@ -263,7 +269,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 					rp := &r.Pages[k]
 					vb := uint64(rp.VPN) << arch.PageShift
 					s := &c.rmemo[uint64(rp.VPN)&(replaySlots-1)]
-					if !s.valid || s.vbase != vb || s.tlbGen != tlbGen ||
+					if !s.valid || s.vbase != vb || !s.holds(shape) ||
 						s.shGen != shGen || s.eGen != epoch || !s.entry.Referenced() {
 						ok = false
 						break
@@ -313,10 +319,10 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 		if vbase != curVBase {
 			// Adopt the new page: replay memo, then fast-path memo,
 			// then the TLB itself. Every source is guarded by the same
-			// generation checks; whichever holds the page, the
+			// claim and generation checks; whichever holds the page, the
 			// reference's counters come out identical.
 			rs = &c.rmemo[(vbase>>arch.PageShift)&(replaySlots-1)]
-			if rs.valid && rs.vbase == vbase && rs.tlbGen == tlbGen && rs.shGen == shGen {
+			if rs.valid && rs.vbase == vbase && rs.holds(shape) && rs.shGen == shGen {
 				entry, paBase = rs.entry, rs.paBase
 				if rs.eGen != epoch {
 					// The eviction log overflowed since the bitmaps were
@@ -328,16 +334,16 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				}
 				lineB, lineW = rs.lineB, rs.lineW
 			} else if m := &c.memo[(vbase>>arch.PageShift)&(memoSlots-1)]; m.valid &&
-				m.vbase == vbase && m.tlbGen == tlbGen && m.shGen == shGen {
+				m.vbase == vbase && m.holds(shape) && m.shGen == shGen {
 				entry, paBase = m.entry, m.paBase
 				if m.cacheGen == cGen {
 					lineB, lineW = m.lineBase, m.lineWritable
 				} else {
 					lineB, lineW = 0, false
 				}
-				rs.valid, rs.vbase, rs.entry, rs.paBase = true, vbase, entry, paBase
+				rs.valid, rs.vbase, rs.tlbClaim, rs.paBase = true, vbase, m.tlbClaim, paBase
 				rs.lineB, rs.lineW = lineB, lineW
-				rs.tlbGen, rs.shGen, rs.eGen = tlbGen, shGen, epoch
+				rs.shGen, rs.eGen = shGen, epoch
 				rs.lines = [replayLineWords]uint64{}
 				rs.written = [replayLineWords]uint64{}
 				if lineB != 0 {
@@ -404,9 +410,9 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				curVBase = vbase
 				paBase = pa &^ arch.PAddr(arch.PageMask)
 				lineB, lineW = uint64(va)&^lineMask, writable
-				rs.valid, rs.vbase, rs.entry, rs.paBase = true, vbase, entry, paBase
+				rs.valid, rs.vbase, rs.tlbClaim, rs.paBase = true, vbase, c.claim(e), paBase
 				rs.lineB, rs.lineW = lineB, lineW
-				rs.tlbGen, rs.shGen, rs.eGen = tlbGen, shGen, epoch
+				rs.shGen, rs.eGen = shGen, epoch
 				rs.lines = [replayLineWords]uint64{}
 				rs.written = [replayLineWords]uint64{}
 				if lineB != 0 {
@@ -507,7 +513,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 					c.ifetch()
 				}
 				c.drainEvictions()
-				tlbGen, shGen, cGen = c.TLB.Gen(), c.shadowGen(), c.Cache.Gen()
+				shape, shGen, cGen = c.TLB.ShapeGen(), c.shadowGen(), c.Cache.Gen()
 				epoch = c.rEpoch
 				curVBase = noPage
 				needTouch = true

@@ -10,9 +10,9 @@
 // live, unaliased DRAM frame; the translation backend's cached state
 // (whatever the scheme caches) never disagrees with the in-DRAM table;
 // every processor-TLB entry is backed by a live hashed-
-// page-table entry; the hashed page table's internal bookkeeping stays
-// sound; and the CPU's fast-path memo re-derives to the same
-// translations the authoritative structures give.
+// page-table entry; the hashed page table's and the processor TLB's
+// internal bookkeeping stays sound; and the CPU's page memos re-derive
+// to the same translations the authoritative structures give.
 //
 // Checking is off unless requested: the -check flag (EnableGlobalChecks
 // via internal/cmdutil) attaches a panicking checker to every system
@@ -54,6 +54,7 @@ func Check(s *sim.System) []Violation {
 	vs = append(vs, auditShadowTable(s.VM, s.Frames, s.Cfg.DRAMBytes)...)
 	vs = append(vs, auditTranslator(s.Translator)...)
 	vs = append(vs, auditTLBBacked("tlb.backed", s.CPUTLB, s.CPU.VM, s.Frames)...)
+	vs = append(vs, checkTLBInternal(s.CPUTLB)...)
 	vs = append(vs, checkPTableInternal(s)...)
 	vs = append(vs, auditMemo("cpu.memo", s.CPU)...)
 	return vs
@@ -62,9 +63,10 @@ func Check(s *sim.System) []Violation {
 // CheckSMP runs the catalogue against a multicore system: the shared
 // substrate — shadow partition and table, translation backend, every
 // address space's hashed page table — is audited once, then each
-// processor's private state is audited under the multicore rules:
+// processor's private state is audited under the multicore rules, and
+// its TLB's bookkeeping under "tlb.internal":
 //
-//   - "smp.memo": CPU i's fast-path memo must re-derive to the same
+//   - "smp.memo": CPU i's page memos must re-derive to the same
 //     translations its scheduled address space's authoritative
 //     structures give — after a shootdown, no CPU may keep memoized
 //     state the flush should have cleared.
@@ -86,6 +88,10 @@ func CheckSMP(s *sim.SMPSystem) []Violation {
 	for i, c := range s.CPUs {
 		pre := fmt.Sprintf("cpu %d: ", i)
 		for _, v := range auditTLBBacked("shootdown.ipi", c.TLB, c.VM, s.Frames) {
+			v.Detail = pre + v.Detail
+			vs = append(vs, v)
+		}
+		for _, v := range checkTLBInternal(c.TLB) {
 			v.Detail = pre + v.Detail
 			vs = append(vs, v)
 		}
@@ -246,6 +252,16 @@ func auditTLBBacked(rule string, t *tlb.TLB, v *vm.VM, frames *mem.FrameAlloc) [
 	return vs
 }
 
+// checkTLBInternal audits a processor TLB's own bookkeeping (index,
+// per-class counts, slot bitmaps, overlap count) via the TLB's
+// self-check, under the rule "tlb.internal".
+func checkTLBInternal(t *tlb.TLB) []Violation {
+	if err := t.CheckConsistent(); err != nil {
+		return []Violation{{"tlb.internal", err.Error()}}
+	}
+	return nil
+}
+
 // checkPTableInternal audits the hashed page table's own bookkeeping
 // (slot-state counters, alignment, probe reachability) via the table's
 // self-check.
@@ -263,10 +279,11 @@ func checkPTableInternal(s *sim.System) []Violation {
 	return vs
 }
 
-// auditMemo audits a CPU's fast-path memo: every entry still valid at
-// the current generations must re-derive to the same translation chain
-// ("cache tags consistent after FlushMemo" — a flush leaves the memo
-// empty, and anything surviving generation checks must still be true).
+// auditMemo audits a CPU's page memos: every slot whose TLB claim still
+// holds at the current shadow generation must re-derive to the same
+// translation chain ("cache tags consistent after FlushMemo" — a flush
+// leaves the fast-path memo empty, and anything surviving the claim and
+// generation checks must still be true).
 // The rule parameter names the violation: "cpu.memo" on the
 // uniprocessor, "smp.memo" per multicore CPU.
 func auditMemo(rule string, c *cpu.CPU) []Violation {

@@ -98,6 +98,19 @@ func TestCorruptionsDetected(t *testing.T) {
 		s.VM.STable.Set(spa, ent)
 		expectRule(t, s, "translator.coherent")
 	})
+	t.Run("tlb.internal", func(t *testing.T) {
+		s := fresh()
+		// A write through an entry pointer that bypasses Insert: the
+		// entry's tag moves to another page without the index knowing.
+		var tag uint64
+		s.CPUTLB.VisitValid(func(e tlb.Entry) { tag = e.Tag })
+		e := s.CPUTLB.Probe(tag)
+		if e == nil {
+			t.Fatal("run left the processor TLB empty")
+		}
+		e.Tag += e.Class.Bytes()
+		expectRule(t, s, "tlb.internal")
+	})
 }
 
 // smpCell returns a registered multicore cell with an MTLB and more
@@ -167,6 +180,21 @@ func TestSMPCorruptionsDetected(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("planted stale TLB entry on CPU 1 not detected, got: %v", vs)
+	}
+
+	// Bookkeeping corruption on CPU 1's TLB: an entry marked invalid
+	// behind the TLB's back still sits in its index and counts.
+	var tag uint64
+	s.CPUs[1].TLB.VisitValid(func(e tlb.Entry) { tag = e.Tag })
+	s.CPUs[1].TLB.Probe(tag).Valid = false
+	found = false
+	for _, v := range CheckSMP(s) {
+		if v.Rule == "tlb.internal" && strings.HasPrefix(v.Detail, "cpu 1: ") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("planted TLB bookkeeping corruption on CPU 1 not detected")
 	}
 }
 
