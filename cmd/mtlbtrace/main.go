@@ -10,8 +10,7 @@
 // A trace captured once replays bit-identically on any machine
 // configuration, so configuration comparisons see exactly the same
 // reference stream. Replay compiles the trace into the batch engine
-// (internal/replay) by default — same counters, several times the
-// throughput; -interp selects the record-at-a-time interpreter.
+// (internal/replay) and reports the compiled program's size.
 package main
 
 import (
@@ -44,9 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dump     = fs.String("dump", "", "print a trace file's records")
 		replay   = fs.String("replay", "", "replay a trace file")
 		wname    = fs.String("workload", "radix", "workload to record")
-		scaleF   = fs.String("scale", "", "workload scale: paper or small (default small)")
-		size     = fs.String("size", "", "deprecated alias for -scale")
-		interp   = fs.Bool("interp", false, "replay record-at-a-time instead of through the compiled batch engine")
+		scaleF   = fs.String("scale", "small", "workload scale: paper or small")
 		out      = fs.String("o", "out.trc", "output trace file")
 		tlbSize  = fs.Int("tlb", 96, "CPU TLB entries for record/replay")
 		mtlbN    = fs.Int("mtlb", 0, "MTLB entries (0 = no MTLB)")
@@ -111,16 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *record:
-		scaleName := *scaleF
-		if scaleName == "" {
-			scaleName = *size // honor the deprecated spelling
-		}
-		if scaleName == "" {
-			scaleName = "small"
-		}
-		scale, err := exp.ParseScale(scaleName)
+		scale, err := exp.ParseScale(*scaleF)
 		if err != nil {
-			fmt.Fprintf(stderr, "mtlbtrace: unknown scale %q (valid: paper, small)\n", scaleName)
+			fmt.Fprintf(stderr, "mtlbtrace: unknown scale %q (valid: paper, small)\n", *scaleF)
 			return 2
 		}
 		w, err := exp.MakeWorkload(*wname, scale)
@@ -136,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		res, err := observed("record-"+w.Name(), &recordedWorkload{inner: w, w: tw})
+		res, err := observed("record-"+w.Name(), rep.TraceRecording(w, tw))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -179,37 +169,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		var w workload.Workload
-		var refs int
-		if *interp {
-			recs, err := trace.ReadAll(f)
-			f.Close()
-			if err != nil {
-				return fail(stderr, err)
-			}
-			// Count memory references only, matching Program.Refs, so
-			// both replay modes report the same number.
-			for _, rec := range recs {
-				if rec.Kind == trace.KindLoad || rec.Kind == trace.KindStore {
-					refs++
-				}
-			}
-			w = &trace.Replay{Records: recs, UseSbrkSuperpages: *sbrkSup}
-		} else {
-			p, err := rep.Load(f)
-			f.Close()
-			if err != nil {
-				return fail(stderr, err)
-			}
-			p.SbrkSuper = *sbrkSup
-			refs = p.Refs()
-			// Label matches the interpreter's workload.Name so both
-			// replay paths emit byte-identical results.
-			eng := rep.NewEngine(p)
-			eng.SetName((&trace.Replay{}).Name())
-			w = eng
+		p, err := rep.Load(f)
+		f.Close()
+		if err != nil {
+			return fail(stderr, err)
 		}
-		res, err := observed("replay", w)
+		p.SbrkSuper = *sbrkSup
+		res, err := observed("replay", rep.NewEngine(p))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -219,7 +185,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		} else {
 			fmt.Fprintf(stdout, "replayed %d refs on %s: %d cycles, tlb-miss time %.1f%%\n",
-				refs, res.Label, res.TotalCycles(), 100*res.TLBFraction())
+				p.Refs(), res.Label, res.TotalCycles(), 100*res.TLBFraction())
+			fmt.Fprintf(stdout, "compiled program: %d bytes, %.1f B/ref\n",
+				p.Bytes(), float64(p.Bytes())/float64(max(p.Refs(), 1)))
 		}
 
 	default:
@@ -227,18 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
-}
-
-// recordedWorkload wraps a workload so its Env is the trace recorder.
-type recordedWorkload struct {
-	inner workload.Workload
-	w     *trace.Writer
-}
-
-func (r *recordedWorkload) Name() string         { return r.inner.Name() }
-func (r *recordedWorkload) SbrkSuperpages() bool { return r.inner.SbrkSuperpages() }
-func (r *recordedWorkload) Run(env workload.Env) {
-	r.inner.Run(&trace.Recorder{Env: env, W: r.w})
 }
 
 func formatRecord(r trace.Record) string {

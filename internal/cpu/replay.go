@@ -248,53 +248,26 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	ri := 0
 	for i := 0; i < n; i++ {
 		// Retire whole compiled runs as counter arithmetic when the page
-		// memo proves every access in them hits. For each page the run
-		// spans: the replay slot holds the page under a TLB claim that
-		// still holds and at the current shadow generation, the page's
-		// TLB entry already has its NRU bit set (so every touch the run
-		// would do provably early-returns before any state change), and
-		// the run's line bitmaps are a subset of the slot's verified-
-		// resident (and, for stores, verified-modified) bitmaps. With
-		// the run's cycles fitting before the next instruction fetch,
-		// each retired reference is then exactly a deferred TLB hit
-		// plus a deferred cache hit — what the per-reference path below
-		// would have produced one iteration at a time — and no TLB,
-		// cache, or NRU state changes.
+		// memo proves every access in them hits (runHits). With the
+		// run's cycles fitting before the next instruction fetch, each
+		// retired reference is then exactly a deferred TLB hit plus a
+		// deferred cache hit — what the per-reference path below would
+		// have produced one iteration at a time — and no TLB, cache, or
+		// NRU state changes.
 		if ri < len(runs) && int(runs[ri].Start)-cols.Bit0 == i {
 			r := &runs[ri]
 			ri++
-			if r.Cycles != ^uint32(0) && si+int(r.Cycles) < period {
-				ok := true
-				for k := 0; k < int(r.NPages); k++ {
-					rp := &r.Pages[k]
-					vb := uint64(rp.VPN) << arch.PageShift
-					s := &c.rmemo[uint64(rp.VPN)&(replaySlots-1)]
-					if !s.valid || s.vbase != vb || !s.holds(shape) ||
-						s.shGen != shGen || s.eGen != epoch || !s.entry.Referenced() {
-						ok = false
-						break
-					}
-					for w := 0; w < replayLineWords; w++ {
-						if rp.Lines[w]&^s.lines[w] != 0 || rp.Written[w]&^s.written[w] != 0 {
-							ok = false
-							break
-						}
-					}
-					if !ok {
-						break
-					}
-				}
-				if ok {
-					pend += uint64(r.Cycles)
-					si += int(r.Cycles)
-					cnt := uint64(r.Count)
-					cacheHits += cnt
-					tlbHits += cnt
-					loads += uint64(r.Loads)
-					stores += uint64(r.Stores)
-					i += int(r.Count) - 1
-					continue
-				}
+			if r.Cycles != workload.Unretirable && si+int(r.Cycles) < period &&
+				c.runHits(&cols, r, shape, shGen, epoch) {
+				pend += uint64(r.Cycles)
+				si += int(r.Cycles)
+				cnt := uint64(r.Count)
+				cacheHits += cnt
+				tlbHits += cnt
+				loads += cnt - uint64(r.Stores)
+				stores += uint64(r.Stores)
+				i += int(r.Count) - 1
+				continue
 			}
 		}
 
@@ -522,4 +495,33 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	}
 	flush()
 	c.sinceIFetch = si
+}
+
+// runHits reports whether the replay memo proves that every access of
+// run r hits. For each page of the run's footprint, the replay slot
+// holds the page under a TLB claim that still holds and at the current
+// shadow generation and eviction epoch, and the page's TLB entry
+// already has its NRU bit set, so every touch the run would do provably
+// early-returns before any state change. Every footprint line is in the
+// slot's verified-resident bitmap and, when the run stores to it, in
+// the verified-modified one too. The footprint is exact — each line the
+// run touches, once — so the check costs one probe per touched line.
+func (c *CPU) runHits(cols *workload.RefCols, r *workload.RefRun, shape, shGen, epoch uint64) bool {
+	var slots [workload.RunPages]*replaySlot
+	for k, vpn := range cols.RunVPN[r.Page : r.Page+uint32(r.NPages)] {
+		s := &c.rmemo[uint64(vpn)&(replaySlots-1)]
+		if !s.valid || s.vbase != uint64(vpn)<<arch.PageShift || !s.holds(shape) ||
+			s.shGen != shGen || s.eGen != epoch || !s.entry.Referenced() {
+			return false
+		}
+		slots[k] = s
+	}
+	for _, l := range cols.RunLines[r.Line : r.Line+uint32(r.NLines)] {
+		s, li := slots[l.Page()], l.Index()
+		w, b := li>>6, li&63
+		if s.lines[w]>>b&1 == 0 || l.Written() && s.written[w]>>b&1 == 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -121,12 +121,12 @@ func Record(cfg sim.Config, w workload.Workload) (sim.Result, *Program) {
 	return res, p
 }
 
-// RecordTrace runs w live on a fresh system assembled from cfg, writing
-// the reference stream to tw as trace v1 records. It returns the live
-// run's result; the caller owns flushing the writer. This is the
+// TraceRecording wraps w so that running it writes every operation to
+// tw as trace v1 records while passing each through to the environment
+// unchanged; the caller owns flushing the writer. This is the
 // mtlbtrace -record path.
-func RecordTrace(cfg sim.Config, w workload.Workload, tw *trace.Writer) sim.Result {
-	return sim.RunOn(cfg, &recordedWorkload{inner: w, w: tw})
+func TraceRecording(w workload.Workload, tw *trace.Writer) workload.Workload {
+	return &recordedWorkload{inner: w, w: tw}
 }
 
 // recordedWorkload interposes the trace v1 encoder between a workload

@@ -7,19 +7,22 @@
 // CPU through workload.Streamer in large quanta.
 //
 // Replay eliminates everything a live run pays besides the simulation
-// itself: the workload's own computation, the per-access interface
-// dispatch through workload.Env, and the per-record decode of the
-// interpretive trace.Replay path. The engine allocates nothing in
-// steady state — one reusable quantum buffer is materialized from the
-// columns and handed to cpu.Stream — and the differential suite proves
-// the replayed counters are bit-identical to the live run's
-// (TestReplayMatchesLive).
+// itself: the workload's own computation and the per-access interface
+// dispatch through workload.Env. The engine allocates nothing in steady
+// state — the simulated CPU reads the columns in place, and other
+// environments get one reusable quantum buffer materialized from them —
+// and the differential suite proves the replayed counters are
+// bit-identical to the live run's (TestReplayMatchesLive).
 package replay
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
+	"sort"
+	"unsafe"
 
 	"shadowtlb/internal/arch"
 	"shadowtlb/internal/trace"
@@ -46,7 +49,8 @@ const Quantum = 4096
 // virtual address at the page shift costs nothing here (compile time)
 // and matches what every consumer wants: the CPU's fast path keys its
 // memo on the VPN, and offsets never exceed 12 bits. The columns pack
-// one ref into 11 bytes + 1 bit against workload.Ref's padded 32.
+// one ref into 11 bytes + 1 bit against workload.Ref's padded 32; the
+// run tables add about 5 bytes per ref more (DESIGN.md §15).
 type chunk struct {
 	vpn   []uint32 // virtual page number (VA >> arch.PageShift)
 	off   []uint16 // page offset (VA & arch.PageMask)
@@ -54,11 +58,12 @@ type chunk struct {
 	step  []uint32 // non-memory instructions folded after this ref
 	store []uint64 // op bitmap: bit i set = ref i is a store
 	// runs are the compiled run summaries over this chunk's refs,
-	// ordered by Start (chunk-relative), built once at compile finish.
-	// runIdx maps each ref to the index in runs of the run covering it,
-	// so span slicing is O(1). See workload.RefRun.
-	runs   []workload.RefRun
-	runIdx []uint32
+	// ordered by Start (chunk-relative), and runVPN and runLines their
+	// footprints; each is built once, at its exact size, when the chunk
+	// is sealed. See workload.RefRun.
+	runs     []workload.RefRun
+	runVPN   []uint32
+	runLines []workload.RunLine
 }
 
 // newChunk preallocates full columns so appends never grow them.
@@ -114,12 +119,37 @@ func (p *Program) Refs() int { return p.nrefs }
 // Segments returns the number of program steps (ref runs + control ops).
 func (p *Program) Segments() int { return len(p.segs) }
 
+// Bytes returns the memory the program's tables hold: the capacity of
+// every column, run table, footprint and the segment list.
+func (p *Program) Bytes() int {
+	n := bytesOf(p.segs) + bytesOf(p.chunks)
+	for _, c := range p.chunks {
+		n += bytesOf(c.vpn) + bytesOf(c.off) + bytesOf(c.size) + bytesOf(c.step) +
+			bytesOf(c.store) + bytesOf(c.runs) + bytesOf(c.runVPN) + bytesOf(c.runLines)
+	}
+	return n
+}
+
+// bytesOf returns the bytes s's backing array holds.
+func bytesOf[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
+}
+
 // builder accumulates a Program.
 type builder struct {
 	p       *Program
 	cur     *chunk // chunk being filled (== last of p.chunks)
 	openLo  int    // start of the open refs run, -1 when none
 	regions int    // alloc counter for precomputed names
+	// cuts are the chunk-relative ends of the refs segments closed
+	// since cur was opened: runs must not cross them.
+	cuts []int
+	// runs, runVPN and runLines are scratch run tables, reused for
+	// every chunk; sealChunk copies them into the chunk at exact size.
+	runs     []workload.RefRun
+	runVPN   []uint32
+	runLines []workload.RunLine
 }
 
 func newBuilder() *builder {
@@ -134,6 +164,7 @@ func (b *builder) ref(va arch.VAddr, size uint8, isStore bool) {
 	}
 	i := b.p.nrefs & chunkMask
 	if i == 0 {
+		b.sealChunk()
 		b.cur = newChunk()
 		b.p.chunks = append(b.p.chunks, b.cur)
 	}
@@ -174,6 +205,7 @@ func (b *builder) step(n uint64) {
 func (b *builder) closeRun() {
 	if b.openLo >= 0 {
 		b.p.segs = append(b.p.segs, segment{op: opRefs, lo: b.openLo, hi: b.p.nrefs})
+		b.cuts = append(b.cuts, b.p.nrefs-(len(b.p.chunks)-1)<<chunkShift)
 		b.openLo = -1
 	}
 }
@@ -184,9 +216,8 @@ func (b *builder) control(op uint8, a, b2 uint64) {
 	seg := segment{op: op, a: a, b: b2}
 	if op == opAllocRegion || op == opAllocAligned {
 		b.regions++
-		// The same names trace.Replay would synthesize; region names are
-		// labels only (bases assign sequentially), so replay timing is
-		// independent of them.
+		// Region names are labels only (bases assign sequentially), so
+		// replay timing is independent of them.
 		seg.name = fmt.Sprintf("traced%d", b.regions)
 	}
 	b.p.segs = append(b.p.segs, seg)
@@ -221,80 +252,97 @@ func (b *builder) add(rec trace.Record) error {
 // the period would make maximal runs retirable only just after a fetch.
 const runCycleCap = 32
 
-// finish seals the program, compiles its run summaries and returns it.
+// finish seals the program and returns it.
 func (b *builder) finish() *Program {
 	b.closeRun()
-	for _, seg := range b.p.segs {
-		if seg.op != opRefs {
-			continue
-		}
-		for lo := seg.lo; lo < seg.hi; {
-			c := b.p.chunks[lo>>chunkShift]
-			i := lo & chunkMask
-			span := chunkRefs - i
-			if span > seg.hi-lo {
-				span = seg.hi - lo
-			}
-			buildRuns(c, i, i+span)
-			lo += span
-		}
-	}
+	b.sealChunk()
 	return b.p
 }
 
-// buildRuns compiles run summaries for refs [lo, hi) of c (chunk-
-// relative): maximal stretches spanning at most workload.RunPages
-// distinct pages, split at runCycleCap cycles. A single reference whose
-// folded step alone exceeds the cap gets an unretirable sentinel run so
-// every ref stays covered by exactly one run.
-func buildRuns(c *chunk, lo, hi int) {
+// sealChunk compiles the run tables of the chunk being filled, once its
+// refs are final (a step folds only into the newest ref). Runs are
+// built over the spans runCols hands out, each chunk's refs cut at
+// every refs segment's end, so no span ever splits a run.
+func (b *builder) sealChunk() {
+	c := b.cur
+	if c == nil {
+		return
+	}
+	b.runs, b.runVPN, b.runLines = b.runs[:0], b.runVPN[:0], b.runLines[:0]
+	lo := 0
+	for _, hi := range append(b.cuts, len(c.vpn)) {
+		if hi > lo {
+			b.buildRuns(c, lo, hi)
+			lo = hi
+		}
+	}
+	b.cuts = b.cuts[:0]
+	c.runs, c.runVPN, c.runLines = exact(b.runs), exact(b.runVPN), exact(b.runLines)
+}
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+
+// pageLineWords sizes a per-page cache-line bitmap.
+const pageLineWords = arch.PageSize / arch.LineSize / 64
+
+// buildRuns appends to the scratch tables the run summaries for refs
+// [lo, hi) of c (chunk-relative): maximal stretches spanning at most
+// workload.RunPages distinct pages, split at runCycleCap cycles. A
+// single reference whose folded step alone exceeds the cap gets an
+// unretirable run so every ref stays covered by exactly one run.
+func (b *builder) buildRuns(c *chunk, lo, hi int) {
 	for j := lo; j < hi; {
-		var r workload.RefRun
-		r.Start = uint32(j)
+		r := workload.RefRun{
+			Start: uint32(j),
+			Page:  uint32(len(b.runVPN)),
+			Line:  uint32(len(b.runLines)),
+		}
+		// Per-page line bitmaps, flattened into the footprint once the
+		// run ends so every touched line appears exactly once.
+		var lines, written [workload.RunPages][pageLineWords]uint64
+		pages := b.runVPN[r.Page:]
 		cyc := uint64(0)
-		for j < hi {
+		for ; j < hi; j++ {
 			stepc := 1 + uint64(c.step[j])
 			if cyc > 0 && cyc+stepc > runCycleCap {
 				break
 			}
 			vpn := c.vpn[j]
-			pk := -1
-			for k := 0; k < int(r.NPages); k++ {
-				if r.Pages[k].VPN == vpn {
-					pk = k
-					break
-				}
-			}
+			pk := slices.Index(pages, vpn)
 			if pk < 0 {
-				if int(r.NPages) == workload.RunPages {
+				if len(pages) == workload.RunPages {
 					break
 				}
-				pk = int(r.NPages)
-				r.Pages[pk].VPN = vpn
-				r.NPages++
+				pk = len(pages)
+				b.runVPN = append(b.runVPN, vpn)
+				pages = b.runVPN[r.Page:]
 			}
-			p := &r.Pages[pk]
 			li := uint64(c.off[j]) >> arch.LineShift
-			p.Lines[li>>6] |= 1 << (li & 63)
+			lines[pk][li>>6] |= 1 << (li & 63)
 			if c.store[j>>6]&(1<<(j&63)) != 0 {
-				p.Written[li>>6] |= 1 << (li & 63)
+				written[pk][li>>6] |= 1 << (li & 63)
 				r.Stores++
-			} else {
-				r.Loads++
 			}
 			cyc += stepc
-			j++
 		}
-		r.Count = uint32(j) - r.Start
+		r.Count = uint8(uint32(j) - r.Start)
+		r.Cycles = uint8(cyc)
 		if cyc > runCycleCap {
-			r.Cycles = ^uint32(0)
-		} else {
-			r.Cycles = uint32(cyc)
+			r.Cycles = workload.Unretirable
 		}
-		for k := uint32(0); k < r.Count; k++ {
-			c.runIdx = append(c.runIdx, uint32(len(c.runs)))
+		r.NPages = uint8(len(pages))
+		for k := range pages {
+			for w, word := range lines[k] {
+				for ; word != 0; word &= word - 1 {
+					bit := bits.TrailingZeros64(word)
+					wr := written[k][w]>>bit&1 != 0
+					b.runLines = append(b.runLines, workload.NewRunLine(k, uint64(w*64+bit), wr))
+				}
+			}
 		}
-		c.runs = append(c.runs, r)
+		r.NLines = uint8(len(b.runLines) - int(r.Line))
+		b.runs = append(b.runs, r)
 	}
 }
 
@@ -343,27 +391,23 @@ func Load(r io.Reader) (*Program, error) {
 type Engine struct {
 	p   *Program
 	buf []workload.Ref
-	// name overrides the reported workload name (see SetName).
-	name string
 }
 
 var _ workload.Workload = (*Engine)(nil)
 
 // NewEngine returns an engine over p.
 func NewEngine(p *Program) *Engine {
-	name := p.Workload
-	if name == "" {
-		name = "trace-replay"
-	}
-	return &Engine{p: p, buf: make([]workload.Ref, Quantum), name: name}
+	return &Engine{p: p, buf: make([]workload.Ref, Quantum)}
 }
 
-// SetName overrides the workload name the replay reports, so a replayed
-// run can label its results exactly as the live workload would.
-func (e *Engine) SetName(name string) { e.name = name }
-
-// Name identifies the replayed workload.
-func (e *Engine) Name() string { return e.name }
+// Name identifies the replayed workload: the recorded workload's name,
+// or "trace-replay" for a trace file, which carries none.
+func (e *Engine) Name() string {
+	if e.p.Workload == "" {
+		return "trace-replay"
+	}
+	return e.p.Workload
+}
 
 // SbrkSuperpages reports the recorded workload's sbrk mode.
 func (e *Engine) SbrkSuperpages() bool { return e.p.SbrkSuper }
@@ -376,11 +420,12 @@ func (e *Engine) SbrkSuperpages() bool { return e.p.SbrkSuper }
 func (e *Engine) Run(env workload.Env) {
 	cs, _ := env.(workload.ColStreamer)
 	st, _ := env.(workload.Streamer)
+	next := 0 // first run of the next refs span, in that span's chunk
 	for _, seg := range e.p.segs {
 		switch seg.op {
 		case opRefs:
 			if cs != nil {
-				e.runCols(cs, seg.lo, seg.hi)
+				next = e.runCols(cs, seg.lo, seg.hi, next)
 				continue
 			}
 			for lo := seg.lo; lo < seg.hi; {
@@ -422,7 +467,14 @@ func (e *Engine) Run(env workload.Env) {
 // runCols hands refs [lo, hi) to a column-consuming environment in
 // chunk-sized spans: no materialization at all — the environment reads
 // the compiled columns in place, one call per up-to-64K-ref span.
-func (e *Engine) runCols(cs workload.ColStreamer, lo, hi int) {
+//
+// Runs are built over exactly these spans (sealChunk cuts at every
+// segment end), so no span splits a run, and Run hands the spans out in
+// ref order. A span's runs therefore start where the previous span's
+// ended — at next, or at 0 in a new chunk — and its last run is found
+// by binary search on Start among the at most run runs that follow.
+// runCols returns the run after its last span's.
+func (e *Engine) runCols(cs workload.ColStreamer, lo, hi, next int) int {
 	for lo < hi {
 		c := e.p.chunks[lo>>chunkShift]
 		i := lo & chunkMask
@@ -430,11 +482,13 @@ func (e *Engine) runCols(cs workload.ColStreamer, lo, hi int) {
 		if run > hi-lo {
 			run = hi - lo
 		}
-		// Runs are built over exactly these spans (finish walks the same
-		// segment-within-chunk decomposition), so a span boundary never
-		// splits a run and the covering-run index bounds the slice.
-		rlo := c.runIdx[i]
-		rhi := c.runIdx[i+run-1] + 1
+		rlo := next
+		if i == 0 {
+			rlo = 0
+		}
+		rhi := rlo + sort.Search(min(run, len(c.runs)-rlo), func(k int) bool {
+			return c.runs[rlo+k].Start >= uint32(i+run)
+		})
 		cs.StreamCols(workload.RefCols{
 			VPN:      c.vpn[i : i+run],
 			Off:      c.off[i : i+run],
@@ -444,9 +498,13 @@ func (e *Engine) runCols(cs workload.ColStreamer, lo, hi int) {
 			Bit0:     i,
 			StoreVal: storeFill,
 			Runs:     c.runs[rlo:rhi],
+			RunVPN:   c.runVPN,
+			RunLines: c.runLines,
 		})
+		next = rhi
 		lo += run
 	}
+	return next
 }
 
 // fill materializes refs [lo, lo+n) from the columns into e.buf. The
@@ -479,6 +537,5 @@ func (e *Engine) fill(lo, n int) {
 
 // storeFill is the placeholder value replayed stores write; the v1
 // format records no store values because replay timing is value-
-// independent. It matches trace.Replay's placeholder, so the two replay
-// paths leave identical functional memory behind.
+// independent.
 const storeFill = 0xD15EA5E

@@ -2,6 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"shadowtlb/internal/arch"
@@ -59,7 +62,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fileRes := RecordTrace(cfg, w2, tw)
+			fileRes := sim.RunOn(cfg, TraceRecording(w2, tw))
 			if err := tw.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -71,10 +74,8 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: Load: %v", cfgName, name, err)
 			}
-			p2.SbrkSuper = w.SbrkSuperpages()
-			eng2 := NewEngine(p2)
-			eng2.SetName(name)
-			fileRep := sim.RunOn(cfg, eng2)
+			p2.SbrkSuper, p2.Workload = w.SbrkSuperpages(), name
+			fileRep := sim.RunOn(cfg, NewEngine(p2))
 			if fileRep != liveRes {
 				t.Errorf("%s/%s: trace-file replay diverged:\nlive:   %+v\nreplay: %+v",
 					cfgName, name, liveRes, fileRep)
@@ -168,9 +169,13 @@ type colsEnv struct{ countEnv }
 
 func (e *colsEnv) StreamCols(cols workload.RefCols) { e.refs += uint64(cols.Len()) }
 
-// TestRunPartition checks the compiled run summaries are a partition of
-// every chunk's refs: contiguous, ordered, within the page and cycle
-// bounds, and indexed consistently by runIdx.
+// TestRunPartition checks the compiled run tables of every paper
+// workload. Runs partition each chunk's refs in order, within the page
+// and cycle bounds, and their tables are exact-size. Each run's
+// footprint is exactly the lines its references touch and store to:
+// every such line once, no other. And every span Engine.Run hands a
+// column consumer carries exactly the runs covering it, as runCols
+// slices them.
 func TestRunPartition(t *testing.T) {
 	cfg := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
 	for _, name := range paperWorkloads {
@@ -180,54 +185,161 @@ func TestRunPartition(t *testing.T) {
 		}
 		_, p := Record(cfg, w)
 		for ci, c := range p.chunks {
-			if len(c.runIdx) != len(c.vpn) {
-				t.Fatalf("%s chunk %d: runIdx covers %d of %d refs", name, ci, len(c.runIdx), len(c.vpn))
+			if cap(c.runs) != len(c.runs) || cap(c.runVPN) != len(c.runVPN) || cap(c.runLines) != len(c.runLines) {
+				t.Fatalf("%s chunk %d: run tables not exact-size", name, ci)
 			}
-			next := uint32(0)
+			var next, page, line uint32
 			for ri, r := range c.runs {
-				if r.Start != next {
-					t.Fatalf("%s chunk %d run %d: starts at %d, want %d", name, ci, ri, r.Start, next)
+				where := fmt.Sprintf("%s chunk %d run %d", name, ci, ri)
+				if r.Start != next || r.Page != page || r.Line != line {
+					t.Fatalf("%s: at ref/page/line %d/%d/%d, want %d/%d/%d",
+						where, r.Start, r.Page, r.Line, next, page, line)
 				}
-				if r.Count == 0 {
-					t.Fatalf("%s chunk %d run %d: empty", name, ci, ri)
-				}
-				if int(r.NPages) > workload.RunPages {
-					t.Fatalf("%s chunk %d run %d: %d pages", name, ci, ri, r.NPages)
-				}
-				var loads, stores uint32
-				for j := r.Start; j < r.Start+r.Count; j++ {
-					if c.runIdx[j] != uint32(ri) {
-						t.Fatalf("%s chunk %d ref %d: runIdx %d, want %d", name, ci, j, c.runIdx[j], ri)
-					}
-					found := false
-					for k := 0; k < int(r.NPages); k++ {
-						if r.Pages[k].VPN == c.vpn[j] {
-							found = true
-							li := uint64(c.off[j]) >> arch.LineShift
-							if r.Pages[k].Lines[li>>6]&(1<<(li&63)) == 0 {
-								t.Fatalf("%s chunk %d run %d: ref %d line not in bitmap", name, ci, ri, j)
-							}
-						}
-					}
-					if !found {
-						t.Fatalf("%s chunk %d run %d: ref %d page %#x not in run pages", name, ci, ri, j, c.vpn[j])
-					}
-					if c.store[j>>6]&(1<<(j&63)) != 0 {
-						stores++
-					} else {
-						loads++
-					}
-				}
-				if loads != r.Loads || stores != r.Stores {
-					t.Fatalf("%s chunk %d run %d: loads/stores %d/%d, want %d/%d",
-						name, ci, ri, r.Loads, r.Stores, loads, stores)
-				}
-				next += r.Count
+				checkRun(t, where, c, r)
+				next += uint32(r.Count)
+				page += uint32(r.NPages)
+				line += uint32(r.NLines)
 			}
-			if int(next) != len(c.vpn) {
-				t.Fatalf("%s chunk %d: runs cover %d of %d refs", name, ci, next, len(c.vpn))
+			if int(next) != len(c.vpn) || int(page) != len(c.runVPN) || int(line) != len(c.runLines) {
+				t.Fatalf("%s chunk %d: runs cover %d of %d refs, %d of %d pages, %d of %d lines", name, ci,
+					next, len(c.vpn), page, len(c.runVPN), line, len(c.runLines))
 			}
 		}
+		env := &spanEnv{t: t, name: name}
+		NewEngine(p).Run(env)
+		if env.refs != uint64(p.Refs()) {
+			t.Fatalf("%s: spans carried %d of %d refs", name, env.refs, p.Refs())
+		}
+	}
+}
+
+// checkRun holds run r of chunk c against its references, recomputed
+// from the columns.
+func checkRun(t *testing.T, where string, c *chunk, r workload.RefRun) {
+	t.Helper()
+	if r.Count == 0 || r.NPages == 0 || int(r.NPages) > workload.RunPages {
+		t.Fatalf("%s: %d refs over %d pages", where, r.Count, r.NPages)
+	}
+	type lineKey struct {
+		vpn uint32
+		li  uint64
+	}
+	want := map[lineKey]bool{} // touched line -> stored to
+	touched := map[uint32]bool{}
+	var stores uint8
+	cycles := 0
+	for j := r.Start; j < r.Start+uint32(r.Count); j++ {
+		st := c.store[j>>6]&(1<<(j&63)) != 0
+		k := lineKey{c.vpn[j], uint64(c.off[j]) >> arch.LineShift}
+		want[k] = want[k] || st
+		touched[k.vpn] = true
+		if st {
+			stores++
+		}
+		cycles += 1 + int(c.step[j])
+	}
+	if r.Stores != stores {
+		t.Fatalf("%s: %d stores, want %d", where, r.Stores, stores)
+	}
+	switch {
+	case cycles <= runCycleCap && int(r.Cycles) != cycles:
+		t.Fatalf("%s: %d cycles, want %d", where, r.Cycles, cycles)
+	case cycles > runCycleCap && (r.Cycles != workload.Unretirable || r.Count != 1):
+		t.Fatalf("%s: %d cycles over %d refs marked %d", where, cycles, r.Count, r.Cycles)
+	}
+	pages := c.runVPN[r.Page : r.Page+uint32(r.NPages)]
+	for k, vpn := range pages {
+		if !touched[vpn] || slices.Index(pages, vpn) != k {
+			t.Fatalf("%s: pages %#x, want each of %v once", where, pages, touched)
+		}
+	}
+	if len(pages) != len(touched) {
+		t.Fatalf("%s: pages %#x, want each of %v once", where, pages, touched)
+	}
+	got := map[lineKey]bool{}
+	for _, l := range c.runLines[r.Line : r.Line+uint32(r.NLines)] {
+		k := lineKey{pages[l.Page()], l.Index()}
+		if _, dup := got[k]; dup {
+			t.Fatalf("%s: line %+v listed twice", where, k)
+		}
+		got[k] = l.Written()
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: footprint %v, want %v", where, got, want)
+	}
+}
+
+// spanEnv is a column consumer that checks each span's runs cover it
+// exactly: the first starts at the span's first ref and each next one
+// where the previous ends, up to the span's end.
+type spanEnv struct {
+	countEnv
+	t    *testing.T
+	name string
+}
+
+func (e *spanEnv) StreamCols(cols workload.RefCols) {
+	at := cols.Bit0
+	for _, r := range cols.Runs {
+		if int(r.Start) != at {
+			e.t.Fatalf("%s: span [%d,%d) has a run at %d, want %d", e.name, cols.Bit0, cols.Bit0+cols.Len(), r.Start, at)
+		}
+		at += int(r.Count)
+	}
+	if at != cols.Bit0+cols.Len() {
+		e.t.Fatalf("%s: span [%d,%d) runs end at %d", e.name, cols.Bit0, cols.Bit0+cols.Len(), at)
+	}
+	e.refs += uint64(cols.Len())
+}
+
+// TestProgramBytes bounds the compiled program's memory per reference
+// by its layout. The columns take 11 bytes + 1 bit per ref; the run
+// tables, a 20-byte header per run plus 4 bytes per footprint page and
+// 2 per footprint line, add about 4 more on small radix; the bound
+// leaves room for the last chunk's unused column capacity. The layout
+// with fixed 184-byte runs and a per-ref run index took about 38.
+func TestProgramBytes(t *testing.T) {
+	w, err := exp.MakeWorkload("radix", exp.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := Record(sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig()), w)
+	perRef := float64(p.Bytes()) / float64(p.Refs())
+	t.Logf("radix small: %d refs, %d bytes, %.2f B/ref", p.Refs(), p.Bytes(), perRef)
+	if perRef > 18 {
+		t.Errorf("compiled program holds %.2f B/ref, want at most 18", perRef)
+	}
+}
+
+// TestTraceReplayAcrossConfigs replays one trace file on two machines:
+// each gets its own timing, and the recorded remap calls make
+// superpages only where there is an MTLB.
+func TestTraceReplayAcrossConfigs(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := exp.MakeWorkload("radix", exp.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtlbCfg := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
+	sim.RunOn(mtlbCfg, TraceRecording(w, tw))
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sim.RunOn(sim.Default().WithTLB(64), NewEngine(p))
+	mtlb := sim.RunOn(mtlbCfg, NewEngine(p))
+	if base.TotalCycles() == mtlb.TotalCycles() {
+		t.Error("different configurations should time differently")
+	}
+	if base.SuperpagesMade != 0 || mtlb.SuperpagesMade == 0 {
+		t.Error("remap records should apply only on the MTLB system")
 	}
 }
 

@@ -366,33 +366,34 @@ func (j *Job) cellDone(ev runner.CellEvent) {
 // so a streamer never observes a terminal state without its final
 // event.
 func (j *Job) finish(res *JobResult, err error) {
-	j.mu.Lock()
 	ev := Event{JobID: j.id}
+	var state JobState
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.result = res
-		ev.Type = "done"
+		state, ev.Type = StateDone, "done"
 	case isCancellation(err):
-		j.state = StateCanceled
-		j.err = err
-		ev.Type = "canceled"
-		ev.Error = err.Error()
+		state, ev.Type, ev.Error = StateCanceled, "canceled", err.Error()
 	default:
-		j.state = StateFailed
+		state, ev.Type, ev.Error = StateFailed, "failed", err.Error()
+	}
+	// The span ends before the terminal state and event become visible:
+	// a client that sees them may read the trace at once, and must find
+	// the job span there.
+	j.span.SetAttr("state", string(state))
+	j.span.End()
+	j.mu.Lock()
+	j.state = state
+	if err == nil {
+		j.result = res
+	} else {
 		j.err = err
-		ev.Type = "failed"
-		ev.Error = err.Error()
 	}
 	ev.CellsDone = j.progress.CellsDone
 	ev.CellsTotal = j.progress.CellsTotal
-	state := j.state
 	j.events = append(j.events, ev)
 	close(j.wake)
 	j.wake = make(chan struct{})
 	j.mu.Unlock()
-	j.span.SetAttr("state", string(state))
-	j.span.End()
 	close(j.done)
 }
 

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -106,6 +108,40 @@ func TestJobTraceTree(t *testing.T) {
 	if cells[1].Attrs["cached"] != "true" {
 		t.Errorf("repeat cell attrs = %v, want cached=true", cells[1].Attrs)
 	}
+}
+
+// TestJobSpanEndsBeforeTerminalState: a job's span is recorded before
+// its terminal state and final event become visible, so a client that
+// sees the job finish and then reads the trace finds the job span,
+// with its state attribute.
+func TestJobSpanEndsBeforeTerminalState(t *testing.T) {
+	for _, err := range []error{nil, context.Canceled, errors.New("boom")} {
+		probe := &stateProbe{}
+		tr := obs.NewTracer("mtlbd", probe, 0)
+		j := newJob("j", JobSpec{})
+		j.span = tr.StartSpan("job", obs.SpanContext{})
+		probe.j = j
+		j.start(1)
+		j.finish(&JobResult{}, err)
+		if len(probe.states) != 1 || probe.states[0].Terminal() {
+			t.Errorf("err %v: job states seen as the span ended: %v, want one non-terminal", err, probe.states)
+		}
+		if spans := tr.Spans(); len(spans) != 1 || spans[0].Attrs["state"] != string(j.State()) {
+			t.Errorf("err %v: spans %+v, want one with state %s", err, spans, j.State())
+		}
+	}
+}
+
+// stateProbe is a span sink that notes the job's state as each span is
+// recorded.
+type stateProbe struct {
+	j      *Job
+	states []JobState
+}
+
+func (p *stateProbe) Write(b []byte) (int, error) {
+	p.states = append(p.states, p.j.State())
+	return len(b), nil
 }
 
 // TestUntracedServerOmitsTraceFields: with no tracer the API surface is

@@ -1,7 +1,8 @@
-// Package trace records and replays memory-reference traces. Recording
-// wraps a workload's execution environment and logs every load, store,
-// instruction batch and memory-management call; replaying turns a saved
-// trace back into a workload that can run on any machine configuration.
+// Package trace records memory-reference traces. Recording wraps a
+// workload's execution environment and logs every load, store,
+// instruction batch and memory-management call; internal/replay
+// compiles a saved trace back into a workload that can run on any
+// machine configuration.
 //
 // Trace-driven simulation complements the execution-driven mode: a trace
 // captured once can be replayed bit-identically against many
@@ -313,51 +314,4 @@ func (r *Recorder) AllocRegion(name string, size uint64) arch.VAddr {
 func (r *Recorder) AllocAligned(name string, size, align, offset uint64) arch.VAddr {
 	r.W.Write(Record{Kind: KindAllocAligned, A: size, B: align<<32 | offset})
 	return r.Env.AllocAligned(name, size, align, offset)
-}
-
-// Replay is a workload that re-executes a recorded trace. Replay is
-// valid because region layout is deterministic: the Nth allocation in
-// the trace lands at the same virtual base it had when recorded.
-type Replay struct {
-	Records []Record
-	// UseSbrkSuperpages mirrors the recorded workload's sbrk mode.
-	UseSbrkSuperpages bool
-
-	regions int
-}
-
-var _ workload.Workload = (*Replay)(nil)
-
-// Name identifies the workload.
-func (p *Replay) Name() string { return "trace-replay" }
-
-// SbrkSuperpages reports the recorded workload's sbrk mode.
-func (p *Replay) SbrkSuperpages() bool { return p.UseSbrkSuperpages }
-
-// Run re-executes the trace.
-func (p *Replay) Run(env workload.Env) {
-	p.regions = 0
-	for _, rec := range p.Records {
-		switch rec.Kind {
-		case KindLoad:
-			env.Load(arch.VAddr(rec.A), int(rec.Size))
-		case KindStore:
-			env.Store(arch.VAddr(rec.A), int(rec.Size), 0xD15EA5E)
-		case KindStep:
-			env.Step(int(rec.A))
-		case KindSbrk:
-			env.Sbrk(rec.A)
-		case KindRemap:
-			env.Remap(arch.VAddr(rec.A), rec.B)
-		case KindAllocRegion:
-			p.regions++
-			env.AllocRegion(fmt.Sprintf("traced%d", p.regions), rec.A)
-		case KindAllocAligned:
-			p.regions++
-			env.AllocAligned(fmt.Sprintf("traced%d", p.regions),
-				rec.A, rec.B>>32, rec.B&0xFFFFFFFF)
-		default:
-			panic(fmt.Sprintf("trace: unknown record kind %d", rec.Kind))
-		}
-	}
 }

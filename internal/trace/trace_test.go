@@ -157,31 +157,6 @@ func TestRecorderCapturesAndForwards(t *testing.T) {
 	}
 }
 
-func TestReplayDrivesEnv(t *testing.T) {
-	recs := []Record{
-		{Kind: KindAllocRegion, A: 8192},
-		{Kind: KindStore, Size: 8, A: 0x100000 + 0x100000},
-		{Kind: KindLoad, Size: 8, A: 0x100000 + 0x100000},
-		{Kind: KindStep, A: 5},
-		{Kind: KindRemap, A: 0x200000, B: 8192},
-	}
-	env := &fakeEnv{}
-	p := &Replay{Records: recs}
-	if p.Name() != "trace-replay" || p.SbrkSuperpages() {
-		t.Error("replay metadata wrong")
-	}
-	p.Run(env)
-	want := []string{"alloc", "store", "load", "step", "remap"}
-	if len(env.calls) != len(want) {
-		t.Fatalf("calls = %v", env.calls)
-	}
-	for i, c := range want {
-		if env.calls[i] != c {
-			t.Errorf("call %d = %s, want %s", i, env.calls[i], c)
-		}
-	}
-}
-
 var _ workload.Env = (*fakeEnv)(nil)
 
 func TestHeaderSentinelErrors(t *testing.T) {

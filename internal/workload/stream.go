@@ -50,40 +50,71 @@ func Deliver(env Env, refs []Ref) {
 	}
 }
 
-// PageLineWords sizes a per-page cache-line bitmap: one bit per line of
-// a base page.
-const PageLineWords = arch.PageSize / arch.LineSize / 64
-
 // RunPages is the maximum number of distinct pages a compiled run may
 // span. Four covers the common alternation patterns (source/destination
 // buffers, key/count arrays) that make single-page runs degenerate.
 const RunPages = 4
 
-// RunPage is one page's footprint within a compiled run: which cache
-// lines of the page the run touches and which it stores to.
-type RunPage struct {
-	VPN     uint32
-	Lines   [PageLineWords]uint64
-	Written [PageLineWords]uint64
-}
+// Unretirable is the RefRun.Cycles value of a run that can never be
+// retired in bulk: a single reference whose folded step alone exceeds
+// the compiler's cycle cap.
+const Unretirable = ^uint8(0)
 
 // RefRun summarizes a compile-time stretch of consecutive references
 // spanning at most RunPages distinct pages: how many refs and folded
-// instruction cycles it covers, its load/store split, and per-page
-// bitmaps of the lines it touches and stores to. A consuming CPU that
-// can prove every page's Lines are cache-resident (and its Written
-// lines silently writable) with all the pages' TLB entries already
-// referenced retires the whole stretch as pure counter arithmetic
-// instead of walking it reference by reference.
+// instruction cycles it covers, how many of them are stores, and its
+// footprint — the pages it touches and, within them, exactly the cache
+// lines it touches and which of those it stores to. A consuming CPU that
+// can prove every footprint line cache-resident (and every written line
+// silently writable) with all the pages' TLB entries already referenced
+// retires the whole stretch as pure counter arithmetic instead of
+// walking it reference by reference.
+//
+// The compiler caps a run at 32 cycles, hence at most 32 references
+// and 32 lines, so the counts fit in bytes. The footprint lives in the
+// RefCols beside the run: the run's pages are RunVPN[Page:Page+NPages]
+// and its lines RunLines[Line:Line+NLines].
 type RefRun struct {
 	Start  uint32 // index of the first ref, in the same space as Bit0
-	Count  uint32 // references in the run
-	Cycles uint32 // Count + folded steps; ^0 marks an unretirable run
-	Loads  uint32
-	Stores uint32
-	NPages uint8
-	Pages  [RunPages]RunPage
+	Page   uint32 // first footprint page, an index into RefCols.RunVPN
+	Line   uint32 // first footprint line, an index into RefCols.RunLines
+	Count  uint8  // references in the run
+	Cycles uint8  // Count + folded steps, or Unretirable
+	Stores uint8  // stores among the references; the rest are loads
+	NPages uint8  // footprint pages, at most RunPages
+	NLines uint8  // footprint lines: each distinct line touched, once
 }
+
+// Bit layout of a RunLine.
+const (
+	runLineBits      = arch.PageShift - arch.LineShift // line index within a page
+	runLineWritten   = 1 << runLineBits
+	runLinePageShift = runLineBits + 1
+)
+
+// RunLine is one cache line of a run's footprint, packed into 16 bits:
+// the line's index within its base page, whether the run stores to it,
+// and which of the run's pages it lies in (an index into the run's
+// RunVPN entries).
+type RunLine uint16
+
+// NewRunLine packs line index li of the run's page k.
+func NewRunLine(k int, li uint64, written bool) RunLine {
+	l := RunLine(k)<<runLinePageShift | RunLine(li)
+	if written {
+		l |= runLineWritten
+	}
+	return l
+}
+
+// Page returns the index of the line's page among the run's pages.
+func (l RunLine) Page() int { return int(l >> runLinePageShift) }
+
+// Index returns the line's index within its base page.
+func (l RunLine) Index() uint64 { return uint64(l) & (runLineWritten - 1) }
+
+// Written reports whether the run stores to the line.
+func (l RunLine) Written() bool { return l&runLineWritten != 0 }
 
 // RefCols is a run of references in column form, the layout the compiled
 // replay engine stores: virtual page numbers and page offsets pre-split
@@ -99,11 +130,14 @@ type RefCols struct {
 	Store    []uint64 // bitmap indexed from Bit0
 	Bit0     int
 	StoreVal uint64
-	// Runs optionally carries the precompiled same-page run summaries
-	// covering exactly these columns, ordered by Start (indexed in
-	// Bit0's space, like the Store bitmap). Purely an accelerator:
-	// consumers ignoring it are exact, just slower.
-	Runs []RefRun
+	// Runs optionally carries the precompiled run summaries covering
+	// exactly these columns, ordered by Start (indexed in Bit0's space,
+	// like the Store bitmap), and RunVPN and RunLines hold their
+	// footprints. Purely an accelerator: consumers ignoring them are
+	// exact, just slower.
+	Runs     []RefRun
+	RunVPN   []uint32
+	RunLines []RunLine
 }
 
 // Len returns the number of references in the run.
