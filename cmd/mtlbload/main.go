@@ -3,7 +3,8 @@
 // single-cell jobs and experiment jobs, then reports throughput,
 // end-to-end job latency percentiles, per-request HTTP latency
 // percentiles (p50/p95/p99/max) and the daemon's cache hit rate as
-// JSON (scripts/bench.sh captures it as BENCH_serve.json).
+// JSON. With -store it adds a restart phase: a fresh daemon over the
+// same store directory replays the job mix and reports its disk hits.
 //
 //	mtlbload -clients 64 -n 4 -scale small -o BENCH_serve.json
 //	mtlbload -server http://localhost:8047 -clients 16 -n 8

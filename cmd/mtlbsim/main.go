@@ -23,6 +23,7 @@ import (
 	"shadowtlb/internal/arch"
 	"shadowtlb/internal/cmdutil"
 	"shadowtlb/internal/core"
+	"shadowtlb/internal/cpu"
 	"shadowtlb/internal/exp"
 	"shadowtlb/internal/mem"
 	"shadowtlb/internal/obs"
@@ -109,6 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var res sim.Result
 	var uni *sim.System // nil on the multicore path
+	var procs []*cpu.CPU
 	if cfg.SMP != nil {
 		if *promote {
 			fmt.Fprintln(stderr, "mtlbsim: -promote is not supported with -cpus > 1")
@@ -119,6 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			s.Observe(o)
 		}
 		res = s.Run()
+		procs = s.CPUs
 	} else {
 		uni = sim.New(cfg)
 		if *promote {
@@ -132,6 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			uni.Observe(o)
 		}
 		res = uni.Run(w)
+		procs = []*cpu.CPU{uni.CPU}
 	}
 
 	if *jsonOut {
@@ -152,6 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					uni.VM.Reclaims, uni.VM.SwapOuts, uni.VM.SwapIns)
 			}
 		}
+		fmt.Fprintln(stdout, cpu.HostWork(procs...))
 	}
 
 	cell := *name + "-" + *size

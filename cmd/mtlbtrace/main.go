@@ -22,6 +22,7 @@ import (
 
 	"shadowtlb/internal/cmdutil"
 	"shadowtlb/internal/core"
+	"shadowtlb/internal/cpu"
 	"shadowtlb/internal/exp"
 	"shadowtlb/internal/obs"
 	rep "shadowtlb/internal/replay"
@@ -80,8 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stopProfiles()
 
 	// observed assembles the system, attaches observability when asked
-	// for, runs the workload, and writes the per-run artifacts.
-	observed := func(name string, w workload.Workload) (sim.Result, error) {
+	// for, runs the workload, and writes the per-run artifacts. It
+	// returns the system for its host-work counters.
+	observed := func(name string, w workload.Workload) (*sim.System, sim.Result, error) {
 		s := sim.New(cfg)
 		var o *obs.Obs
 		if obsF.Enabled() {
@@ -90,14 +92,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		res := s.Run(w)
 		if err := obsF.WriteCellArtifacts(name, o); err != nil {
-			return res, err
+			return s, res, err
 		}
 		if o != nil {
 			if err := obsF.WriteTimeline(stderr, []cmdutil.NamedTimeline{{Name: name, TL: o.Timeline()}}); err != nil {
-				return res, err
+				return s, res, err
 			}
 		}
-		return res, nil
+		return s, res, nil
 	}
 
 	emitJSON := func(res sim.Result) error {
@@ -126,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		res, err := observed("record-"+w.Name(), rep.TraceRecording(w, tw))
+		_, res, err := observed("record-"+w.Name(), rep.TraceRecording(w, tw))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -175,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 		p.SbrkSuper = *sbrkSup
-		res, err := observed("replay", rep.NewEngine(p))
+		s, res, err := observed("replay", rep.NewEngine(p))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -188,6 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				p.Refs(), res.Label, res.TotalCycles(), 100*res.TLBFraction())
 			fmt.Fprintf(stdout, "compiled program: %d bytes, %.1f B/ref\n",
 				p.Bytes(), float64(p.Bytes())/float64(max(p.Refs(), 1)))
+			fmt.Fprintln(stdout, cpu.HostWork(s.CPU))
 		}
 
 	default:

@@ -11,8 +11,8 @@ import (
 )
 
 // TestRecordReplayReport records a small trace and replays it: the
-// text report adds the compiled program's size, and -json stays the
-// bare sim.Result.
+// text report adds the compiled program's size and the host work, and
+// -json stays the bare sim.Result.
 func TestRecordReplayReport(t *testing.T) {
 	trc := filepath.Join(t.TempDir(), "radix.trc")
 	var out, errb strings.Builder
@@ -26,6 +26,9 @@ func TestRecordReplayReport(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^compiled program: [1-9][0-9]* bytes, [0-9.]+ B/ref$`).MatchString(out.String()) {
 		t.Errorf("replay report lacks the program size:\n%s", out.String())
+	}
+	if !regexp.MustCompile(`(?m)^host work: [0-9]+ of [1-9][0-9]* refs slow \([0-9.]+%\), [0-9]+ replay-memo fills, [0-9]+ escapes, [1-9][0-9]* runs retired, [0-9]+ TLB probes \([0-9.]+/ref\)$`).MatchString(out.String()) {
+		t.Errorf("replay report lacks the host work line:\n%s", out.String())
 	}
 
 	out.Reset()

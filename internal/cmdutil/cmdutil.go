@@ -37,13 +37,6 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.MetricsDir, "metrics", "", "write metrics, time series and manifests into `DIR`")
 	fs.StringVar(&f.Timeline, "timeline", "", "write a Chrome trace-event / Perfetto timeline to `FILE`")
 	fs.Uint64Var(&f.Sample, "sample", DefaultSampleEvery, "time-series sampling interval in simulated `cycles`")
-	f.RegisterProfiling(fs)
-}
-
-// RegisterProfiling installs only the host-profiling subset (-pprof,
-// -memprofile), for commands like mtlbbench where simulation-side
-// observability would perturb the measurement being taken.
-func (f *ObsFlags) RegisterProfiling(fs *flag.FlagSet) {
 	fs.StringVar(&f.PProf, "pprof", "", "write a host CPU profile to `FILE`")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a host heap profile to `FILE`")
 }

@@ -36,22 +36,6 @@ func TestRegisterCommonFlagsSurface(t *testing.T) {
 	}
 }
 
-func TestRegisterProfilingSubset(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	var f ObsFlags
-	f.RegisterProfiling(fs)
-	for _, name := range []string{"pprof", "memprofile"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
-		}
-	}
-	for _, name := range []string{"metrics", "timeline", "sample", "fastpath"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("profiling subset leaked -%s", name)
-		}
-	}
-}
-
 func TestApplyPushesFastPathSwitch(t *testing.T) {
 	defer exp.SetNoFastPath(false)
 

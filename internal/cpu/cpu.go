@@ -118,6 +118,9 @@ type CPU struct {
 	smp      *obs.Sampler
 	tl       *obs.Timeline
 	missHist *obs.Histogram
+
+	// Work counts the simulator's own host work (work.go).
+	Work Work
 }
 
 // New wires a CPU to the machine. The TLB, ITLB, cache, MMC and kernel
@@ -302,6 +305,7 @@ func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
 // shadow-fault retries always re-translate, as a retried instruction
 // would.
 func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *tlb.Entry, havePA bool) arch.PAddr {
+	c.Work.Slow++
 	for attempt := 0; ; attempt++ {
 		if !havePA || attempt > 0 {
 			pa, e = c.translate(va, kind)

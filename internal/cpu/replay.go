@@ -187,6 +187,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	var pend uint64 // instructions (one user cycle each)
 	var tlbHits, cacheHits uint64
 	var loads, stores uint64
+	var retired uint64 // whole runs, for Work.Retired
 
 	// Generations, reloaded after anything that could advance them.
 	c.drainEvictions()
@@ -219,7 +220,8 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 		c.Cache.Stats.Hits += cacheHits
 		c.Loads += loads
 		c.Stores += stores
-		tlbHits, cacheHits, loads, stores = 0, 0, 0, 0
+		c.Work.Retired += retired
+		tlbHits, cacheHits, loads, stores, retired = 0, 0, 0, 0, 0
 	}
 	// resync re-hoists state after an escape ran arbitrary machine code.
 	resync := func() {
@@ -234,6 +236,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	// (which interleaves its own charging, ifetching and memoization)
 	// after bringing every shared counter up to date.
 	escape := func(va arch.VAddr, size int, isStore bool, step uint32) {
+		c.Work.Escapes++
 		flush()
 		c.sinceIFetch = si
 		c.replayOne(va, size, isStore)
@@ -266,6 +269,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				tlbHits += cnt
 				loads += cnt - uint64(r.Stores)
 				stores += uint64(r.Stores)
+				retired++
 				i += int(r.Count) - 1
 				continue
 			}
@@ -314,6 +318,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				} else {
 					lineB, lineW = 0, false
 				}
+				c.Work.Fills++
 				rs.valid, rs.vbase, rs.tlbClaim, rs.paBase = true, vbase, m.tlbClaim, paBase
 				rs.lineB, rs.lineW = lineB, lineW
 				rs.shGen, rs.eGen = shGen, epoch
@@ -383,6 +388,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				curVBase = vbase
 				paBase = pa &^ arch.PAddr(arch.PageMask)
 				lineB, lineW = uint64(va)&^lineMask, writable
+				c.Work.Fills++
 				rs.valid, rs.vbase, rs.tlbClaim, rs.paBase = true, vbase, c.claim(e), paBase
 				rs.lineB, rs.lineW = lineB, lineW
 				rs.shGen, rs.eGen = shGen, epoch

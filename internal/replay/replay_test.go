@@ -2,13 +2,19 @@ package replay
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"shadowtlb/internal/arch"
 	"shadowtlb/internal/core"
+	"shadowtlb/internal/cpu"
 	"shadowtlb/internal/exp"
 	"shadowtlb/internal/sim"
 	"shadowtlb/internal/trace"
@@ -84,6 +90,85 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// -update rewrites the host-work golden from the current counters:
+//
+//	go test ./internal/replay -run HostWork -update
+var update = flag.Bool("update", false, "rewrite testdata/work_small.golden with the current counts")
+
+// smallWorkload builds a registered workload at small scale.
+func smallWorkload(t *testing.T, name string) workload.Workload {
+	t.Helper()
+	w, err := exp.MakeWorkload(name, exp.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestHostWorkGolden pins the simulator's host-work counters
+// (cpu.HostWork) exactly, at small scale:
+//   - each paper workload run live on tlb64 and on tlb64+mtlb128/2w;
+//   - each replayed on both configs from one recording made on the
+//     MTLB config;
+//   - em3dp on four CPUs, run at GOMAXPROCS 1 and at NumCPU, which
+//     must agree on one line.
+//
+// The counts depend on the code and the cell, never on the host, so a
+// diff means the engines now do a different amount of work: a change
+// that means it re-blesses with -update and says why in CHANGES.md.
+func TestHostWorkGolden(t *testing.T) {
+	base := sim.Default().WithTLB(64)
+	mtlb := base.WithMTLB(core.DefaultMTLBConfig())
+	var got strings.Builder
+	for _, name := range paperWorkloads {
+		_, p := Record(mtlb, smallWorkload(t, name))
+		for _, cfg := range []sim.Config{base, mtlb} {
+			for _, run := range []struct {
+				mode string
+				w    workload.Workload
+			}{{"live", smallWorkload(t, name)}, {"replay", NewEngine(p)}} {
+				s := sim.New(cfg)
+				s.Run(run.w)
+				fmt.Fprintf(&got, "%s %s %s: %s\n", run.mode, name, cfg.Label, cpu.HostWork(s.CPU))
+			}
+		}
+	}
+
+	smp := mtlb.WithSMP(4)
+	var smpLine string
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		prev := runtime.GOMAXPROCS(procs)
+		s := sim.NewSMP(smp, smallWorkload(t, "em3dp"))
+		s.Run()
+		runtime.GOMAXPROCS(prev)
+		line := fmt.Sprintf("live em3dp %s: %s\n", smp.Label, cpu.HostWork(s.CPUs...))
+		if smpLine != "" && line != smpLine {
+			t.Errorf("GOMAXPROCS %d changed the host work:\n%swant\n%s", procs, line, smpLine)
+		}
+		smpLine = line
+	}
+	got.WriteString(smpLine)
+
+	golden := filepath.Join("testdata", "work_small.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("host work diverged from golden (re-bless with -update if intended)\n--- got ---\n%s--- want ---\n%s",
+			got.String(), want)
+	}
+}
+
 // TestReplayBatchedVsExact pins the batched StreamCols loop against the
 // exact per-reference fallback (NoFastPath forces it): identical
 // programs replayed both ways must agree on every counter. This is the
@@ -100,9 +185,6 @@ func TestReplayBatchedVsExact(t *testing.T) {
 		_, p := Record(fast, w)
 		batched := sim.RunOn(fast, NewEngine(p))
 		exact := sim.RunOn(slow, NewEngine(p))
-		// NoFastPath also disables the live fast path, so compare the
-		// counters that the fast-path contract pins, not the whole
-		// Result (cycle accounting is identical by the fastpath tests).
 		if batched != exact {
 			t.Errorf("%s: batched vs exact diverged:\nbatched: %+v\nexact:   %+v", name, batched, exact)
 		}
@@ -311,36 +393,34 @@ func TestProgramBytes(t *testing.T) {
 	}
 }
 
-// TestTraceReplayAcrossConfigs replays one trace file on two machines:
-// each gets its own timing, and the recorded remap calls make
-// superpages only where there is an MTLB.
-func TestTraceReplayAcrossConfigs(t *testing.T) {
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+// TestReplayConfigIndependent records each paper workload once, on
+// tlb64+mtlb128/2w, and replays that recording on every uniprocessor
+// cell an experiment declares for the workload: every TLB size, MTLB
+// geometry and scheme, the buddy allocator, the MMC timing ablations,
+// banked DRAM and stream buffers. Each replay must equal the cell's
+// live simulation exactly, so one recording serves every configuration.
+func TestReplayConfigIndependent(t *testing.T) {
+	rec := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
+	progs := map[string]*Program{}
+	for _, name := range paperWorkloads {
+		_, progs[name] = Record(rec, smallWorkload(t, name))
 	}
-	w, err := exp.MakeWorkload("radix", exp.Small)
-	if err != nil {
-		t.Fatal(err)
+	seen := map[string]bool{}
+	for _, d := range exp.Descriptors() {
+		if d.Cells == nil {
+			continue
+		}
+		for _, c := range d.Cells(exp.Small) {
+			if progs[c.Workload] == nil || c.Cfg.SMP != nil || seen[c.Key()] {
+				continue
+			}
+			seen[c.Key()] = true
+			if got, want := sim.RunOn(c.Cfg, NewEngine(progs[c.Workload])), c.Simulate(); got != want {
+				t.Errorf("%s on %s: replay diverged from live:\nlive:   %+v\nreplay: %+v", c.Workload, c.Cfg.Label, want, got)
+			}
+		}
 	}
-	mtlbCfg := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
-	sim.RunOn(mtlbCfg, TraceRecording(w, tw))
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sim.RunOn(sim.Default().WithTLB(64), NewEngine(p))
-	mtlb := sim.RunOn(mtlbCfg, NewEngine(p))
-	if base.TotalCycles() == mtlb.TotalCycles() {
-		t.Error("different configurations should time differently")
-	}
-	if base.SuperpagesMade != 0 || mtlb.SuperpagesMade == 0 {
-		t.Error("remap records should apply only on the MTLB system")
-	}
+	t.Logf("%d cells", len(seen))
 }
 
 // TestEngineSteadyStateAllocs proves replay allocates nothing per run

@@ -169,6 +169,11 @@ type TLB struct {
 
 	stamp uint64 // the last install stamp handed out
 	shape uint64 // the shape generation
+
+	// Probes counts the index cells searches examine; every Lookup,
+	// Probe, Insert and Purge starts with one. It measures host work,
+	// not the modelled TLB, so it stays out of Stats (see cpu.Work).
+	Probes uint64
 }
 
 // New builds a TLB. It panics on malformed configurations (non-divisible
@@ -545,6 +550,7 @@ func (t *TLB) home(k uint64) int {
 func (t *TLB) indexFirst(k uint64) int {
 	mask := len(t.index) - 1
 	for h := t.home(k); ; h = (h + 1) & mask {
+		t.Probes++
 		c := &t.index[h]
 		if c.key == k {
 			return int(c.slot)
@@ -561,6 +567,7 @@ func (t *TLB) indexScan(k uint64, except int) (lowest, count int) {
 	mask := len(t.index) - 1
 	lowest = -1
 	for h := t.home(k); t.index[h].key != 0; h = (h + 1) & mask {
+		t.Probes++
 		c := &t.index[h]
 		if c.key != k || int(c.slot) == except {
 			continue
