@@ -116,21 +116,10 @@ type Cache struct {
 	setMask   uint64 // numSets-1 when numSets is a power of two, else 0
 
 	// gen counts line mutations: fills, evictions, upgrades and flushes
-	// all advance it, silent hits do not. The CPU's line-grain memo
+	// all advance it, silent hits do not. The CPU's page memo
 	// compares generations to know a remembered resident line is still
 	// resident in the same state without rescanning the set.
 	gen uint64
-
-	// evGen counts only the mutations that can make a previously
-	// verified resident line unverifiable: evictions of valid lines and
-	// flushes. Fills into invalid ways and shared→modified upgrades
-	// leave every other line's residency (and never reduce a line's
-	// writability), so they do not advance it. evLog remembers the
-	// virtual line base of the last EvictLogSize victims, letting the
-	// replay engine's page memos invalidate precisely instead of
-	// wholesale.
-	evGen uint64
-	evLog [EvictLogSize]uint64
 
 	Stats      stats.HitMiss
 	WriteBacks uint64
@@ -170,34 +159,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Gen returns the line-mutation generation (see the gen field).
 func (c *Cache) Gen() uint64 { return c.gen }
-
-// EvictLogSize is the depth of the eviction log (see the evGen field).
-const EvictLogSize = 32
-
-// EvictGen returns the line-harming mutation generation (see evGen).
-func (c *Cache) EvictGen() uint64 { return c.evGen }
-
-// EvictionsSince fills buf with the virtual line bases of every line
-// evicted or flushed since generation g, oldest first, and returns how
-// many it wrote. ok is false when the log no longer covers the span (or
-// buf is too small): the caller must treat every remembered line as
-// suspect.
-func (c *Cache) EvictionsSince(g uint64, buf []uint64) (n int, ok bool) {
-	d := c.evGen - g
-	if d == 0 {
-		return 0, true
-	}
-	if d > uint64(len(c.evLog)) || d > uint64(len(buf)) {
-		return 0, false
-	}
-	for i := uint64(0); i < d; i++ {
-		buf[i] = c.evLog[(g+i)%EvictLogSize]
-	}
-	return int(d), true
-}
-
-// LineBase returns the address of the first byte of va's cache line.
-func (c *Cache) LineBase(va arch.VAddr) uint64 { return uint64(va) &^ c.lineMask }
 
 // LineMask returns LineSize-1, for callers that hoist line-base
 // computation out of their inner loops.
@@ -280,10 +241,6 @@ func (c *Cache) Access(va arch.VAddr, pa arch.PAddr, kind arch.AccessKind) Resul
 		victim = int(idx) % len(set)
 	}
 	v := &set[victim]
-	if v.state != invalid {
-		c.evLog[c.evGen%EvictLogSize] = v.vbase
-		c.evGen++
-	}
 	if v.state == modified {
 		c.WriteBacks++
 		res.Events[res.NEvents] = Event{Kind: WriteBack, PAddr: arch.PAddr(v.pbase)}
@@ -355,7 +312,6 @@ func (c *Cache) FlushPage(vbase arch.VAddr, pbase arch.PAddr) (events []Event, i
 		panic(fmt.Sprintf("cache: FlushPage of unaligned %v/%v", vbase, pbase))
 	}
 	c.gen++
-	c.evGen += EvictLogSize + 1 // bulk invalidation: overflow the log
 	linesPerPage := arch.PageSize / c.cfg.LineSize
 	for i := uint64(0); i < linesPerPage; i++ {
 		va := uint64(vbase) + i*c.cfg.LineSize
@@ -380,7 +336,6 @@ func (c *Cache) FlushPage(vbase arch.VAddr, pbase arch.PAddr) (events []Event, i
 // returning the write-back events.
 func (c *Cache) FlushAll() []Event {
 	c.gen++
-	c.evGen += EvictLogSize + 1 // bulk invalidation: overflow the log
 	var events []Event
 	for i := range c.lines {
 		l := &c.lines[i]

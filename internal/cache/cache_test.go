@@ -236,66 +236,3 @@ func TestWriteBackOnlyDirtyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestEvictionLog pins the eviction log contract the replay engine's
-// page memos rely on: fills into invalid ways do not advance the
-// eviction generation, evictions of valid lines log the victim's
-// virtual line base, flushes overflow the log, and EvictionsSince
-// replays exactly the logged span oldest-first.
-func TestEvictionLog(t *testing.T) {
-	// 4-set direct-mapped cache: lines 4*LineSize apart conflict.
-	c := New(Config{Size: 4 * arch.LineSize, LineSize: arch.LineSize, Ways: 1})
-	stride := arch.VAddr(4 * arch.LineSize)
-
-	if g := c.EvictGen(); g != 0 {
-		t.Fatalf("fresh cache eviction gen = %d", g)
-	}
-	// Cold fill: no valid victim, no eviction.
-	c.Access(0, 0, arch.Read)
-	if g := c.EvictGen(); g != 0 {
-		t.Fatalf("fill into invalid way advanced eviction gen to %d", g)
-	}
-	// Conflict: evicts the line at 0.
-	c.Access(stride, arch.PAddr(stride), arch.Read)
-	if g := c.EvictGen(); g != 1 {
-		t.Fatalf("eviction advanced gen to %d, want 1", g)
-	}
-	var buf [EvictLogSize]uint64
-	n, ok := c.EvictionsSince(0, buf[:])
-	if !ok || n != 1 || buf[0] != 0 {
-		t.Fatalf("EvictionsSince(0) = %v %v %v, want [0x0]", buf[:n], n, ok)
-	}
-
-	// A second conflict evicts the stride line; the span since 0 now
-	// has both victims oldest-first.
-	c.Access(2*stride, arch.PAddr(2*stride), arch.Read)
-	n, ok = c.EvictionsSince(0, buf[:])
-	if !ok || n != 2 || buf[0] != 0 || buf[1] != uint64(stride) {
-		t.Fatalf("EvictionsSince(0) = %v %v %v, want [0, stride]", buf[:n], n, ok)
-	}
-	// A caught-up caller sees an empty span.
-	if n, ok = c.EvictionsSince(c.EvictGen(), buf[:]); !ok || n != 0 {
-		t.Fatalf("caught-up EvictionsSince = %d %v", n, ok)
-	}
-	// A too-small buffer refuses rather than truncating.
-	if _, ok = c.EvictionsSince(0, buf[:1]); ok {
-		t.Fatal("EvictionsSince accepted a too-small buffer")
-	}
-
-	// Overflow: more evictions than the log holds.
-	base := c.EvictGen()
-	for i := 0; i < EvictLogSize+1; i++ {
-		c.Access(arch.VAddr(i)*stride, arch.PAddr(i)*arch.PAddr(stride), arch.Read)
-		c.Access(arch.VAddr(i)*stride+1024*stride, 0, arch.Read)
-	}
-	if _, ok = c.EvictionsSince(base, buf[:]); ok {
-		t.Fatal("EvictionsSince claimed an overflowed span")
-	}
-
-	// FlushAll forces overflow even for a just-caught-up reader.
-	base = c.EvictGen()
-	c.FlushAll()
-	if _, ok = c.EvictionsSince(base, buf[:]); ok {
-		t.Fatal("EvictionsSince survived FlushAll")
-	}
-}

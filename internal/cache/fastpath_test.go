@@ -107,3 +107,30 @@ func TestFastHitRefusesUpgrades(t *testing.T) {
 		t.Errorf("FastHit on a modified line: hit=%t writable=%t, want both", hit, writable)
 	}
 }
+
+// TestGenMovesOnEveryLineMutation pins the generation the CPU's page
+// memo trusts a remembered line by: fills, evictions, upgrades and
+// flushes advance it; hits of every kind, FastHit refusals included,
+// leave it.
+func TestGenMovesOnEveryLineMutation(t *testing.T) {
+	c := small()
+	const va, pa = 0x1000, 0x40001000
+	step := func(what string, moves bool, fn func()) {
+		t.Helper()
+		g := c.Gen()
+		fn()
+		if moved := c.Gen() != g; moved != moves {
+			t.Errorf("%s: generation moved = %v, want %v", what, moved, moves)
+		}
+	}
+	step("read miss", true, func() { c.Access(va, pa, arch.Read) })
+	step("read hit", false, func() { c.Access(va+8, pa+8, arch.Read) })
+	step("FastHit read", false, func() { c.FastHit(va, pa, arch.Read) })
+	step("FastHit refusing a write to a shared line", false, func() { c.FastHit(va, pa, arch.Write) })
+	step("FastRepeatHit", false, func() { c.FastRepeatHit() })
+	step("upgrade", true, func() { c.Access(va, pa, arch.Write) })
+	step("write hit on a modified line", false, func() { c.Access(va, pa, arch.Write) })
+	step("conflict eviction", true, func() { c.Access(va+4*arch.KB, pa+4*arch.KB, arch.Read) })
+	step("FlushPage", true, func() { c.FlushPage(va+4*arch.KB, pa+4*arch.KB) })
+	step("FlushAll", true, func() { c.FlushAll() })
+}

@@ -142,12 +142,15 @@ func TestSchemeContract(t *testing.T) {
 				t.Error("modifying translation did not set Dirty")
 			}
 
-			// Gen tracks the table's translation generation.
+			// Gen is the table's translation generation.
 			g := tr.Gen()
 			other := arch.PAddr(0x80555000)
 			deps.Table.Set(other, TableEntry{PFN: 0x77, Valid: true})
 			if tr.Gen() <= g {
 				t.Errorf("Gen did not advance on table change: %d -> %d", g, tr.Gen())
+			}
+			if tr.Gen() != tr.Table().Gen() {
+				t.Errorf("Gen = %d, the table's is %d", tr.Gen(), tr.Table().Gen())
 			}
 
 			// Coherence: everything the backend caches matches the table.

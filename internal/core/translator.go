@@ -28,12 +28,13 @@ import (
 //     returns, no cached state may translate pa's page; after PurgeAll,
 //     no cached state may translate anything. The OS calls Purge through
 //     the MMC control interface whenever it changes a shadow mapping.
-//   - Gen is the generation the CPU fast-path memo validates against. It
-//     must advance whenever the shadow→real mapping of any page changes,
-//     so a memoized end-to-end translation is valid while Gen holds.
-//     Every current backend returns the shadow table's generation: the
-//     in-DRAM table is the functional truth, and backend caches are
-//     timing state that never changes what an address maps to.
+//   - Gen must return the shadow table's generation, Table().Gen(),
+//     which advances whenever the shadow→real mapping of any page
+//     changes: the in-DRAM table is the functional truth, and backend
+//     caches are timing state that never changes what an address maps
+//     to. The CPU's page memo validates against that generation and
+//     reads it from the table directly, to keep an interface call off
+//     its per-reference path.
 //   - VisitCached must enumerate every (shadow page, real page) pair the
 //     backend would currently translate without reading the table, with
 //     no side effects on stats or replacement state. The invariant

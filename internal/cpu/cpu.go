@@ -17,6 +17,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shadowtlb/internal/arch"
@@ -102,17 +103,11 @@ type CPU struct {
 	sliceUsed   stats.Cycles
 	inKernel    bool
 
-	// memo is the fast-path translation memo (fastpath.go).
-	memo [memoSlots]memoEntry
-
-	// rmemo is the batched replay loop's page memo (replay.go),
-	// allocated on first use. rDrained is the cache eviction generation
-	// the memo's line bitmaps are synchronized to; rEpoch counts the
-	// wholesale invalidations forced when the eviction log overflowed
-	// between drains (slots prove bitmap freshness by matching it).
-	rmemo    []replaySlot
-	rDrained uint64
-	rEpoch   uint64
+	// memo is the page memo both engines share (fastpath.go), and stab
+	// the shadow table whose generation validates it (nil without
+	// shadow memory).
+	memo [memoSlots]memoSlot
+	stab *core.ShadowTable
 
 	// Observability instruments (see observe.go); nil means disabled.
 	smp      *obs.Sampler
@@ -138,7 +133,7 @@ func NewOnTLBs(cfg Config, v *vm.VM, t *tlb.TLB, it *tlb.MicroITLB) *CPU {
 	if cfg.TLBEntries <= 0 || cfg.TextPages <= 0 || cfg.IFetchPeriod <= 0 {
 		panic(fmt.Sprintf("cpu: bad config %+v", cfg))
 	}
-	return &CPU{
+	c := &CPU{
 		cfg:   cfg,
 		TLB:   t,
 		ITLB:  it,
@@ -147,6 +142,10 @@ func NewOnTLBs(cfg Config, v *vm.VM, t *tlb.TLB, it *tlb.MicroITLB) *CPU {
 		MMC:   v.MMC,
 		K:     v.Kernel,
 	}
+	if tr := v.MMC.Translator(); tr != nil {
+		c.stab = tr.Table()
+	}
+	return c
 }
 
 // Config returns the processor configuration.
@@ -273,8 +272,8 @@ func (c *CPU) translateMissed(va arch.VAddr, kind arch.AccessKind) (arch.PAddr, 
 }
 
 // access runs the full timed path for one data reference and returns
-// the real physical address for the functional access.
-func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
+// the storage of the real page it reaches, for the functional access.
+func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) *[arch.PageSize]byte {
 	if size <= 0 || size > 8 {
 		panic(fmt.Sprintf("cpu: access size %d", size))
 	}
@@ -284,33 +283,40 @@ func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
 	c.maybePreempt()
 	c.instr(1)
 
-	// Fast path: the memo is consulted after instr(1), whose ifetch can
-	// insert TLB entries and run kernel code; the claim and generation
-	// checks inside fastAccess observe any such mutation.
-	if !c.cfg.NoFastPath {
-		if real, ok := c.fastAccess(va, kind); ok {
-			if check.Enabled && c.OnAccessCheck != nil {
-				c.OnAccessCheck(va, real)
-			}
-			return real
-		}
+	if c.cfg.NoFastPath {
+		return c.accessSlow(va, kind, 0, nil, nil)
 	}
-
-	return c.accessSlow(va, kind, 0, nil, false)
+	// The memo is consulted after instr(1), whose ifetch can insert TLB
+	// entries and run kernel code; the claim and generation checks
+	// inside fastAccess observe any such mutation.
+	return c.fastAccess(va, kind)
 }
 
-// accessSlow is the full timed path after the fast path has declined.
-// When havePA is set, the caller has already translated va (with the
-// lookup or miss handling counted) and the first attempt reuses (pa, e);
-// shadow-fault retries always re-translate, as a retried instruction
-// would.
-func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *tlb.Entry, havePA bool) arch.PAddr {
+// checkAccess hands a completed access to the invariant harness's
+// per-access probe. It compiles to nothing without the invariants tag.
+func (c *CPU) checkAccess(va arch.VAddr, real arch.PAddr) {
+	if check.Enabled && c.OnAccessCheck != nil {
+		c.OnAccessCheck(va, real)
+	}
+}
+
+// accessSlow is the full timed path: the whole walk under NoFastPath,
+// and the rest of it for references the memo cannot finish. When e is
+// non-nil, the caller has already translated va to pa (with the lookup
+// or miss handling counted) and the first attempt reuses them; when m
+// is non-nil too, the translation came from m, the page's memo slot,
+// whose real page is reused while the shadow generation holds.
+// Shadow-fault retries always re-translate, as a retried instruction
+// would. It returns the storage of the real page.
+func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *tlb.Entry, m *memoSlot) *[arch.PageSize]byte {
 	c.Work.Slow++
 	for attempt := 0; ; attempt++ {
-		if !havePA || attempt > 0 {
+		if e == nil || attempt > 0 {
 			pa, e = c.translate(va, kind)
+			m = nil
 		}
 		res := c.Cache.Access(va, pa, kind)
+		cacheGen := c.Cache.Gen()
 		faulted := false
 		for _, ev := range res.Events[:res.NEvents] {
 			r, err := c.MMC.HandleEvent(ev)
@@ -332,15 +338,19 @@ func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *
 			c.Charge(stats.Cycles(r.StallCPU), Memory)
 		}
 		if !faulted {
-			real, err := c.VM.TranslateData(pa)
-			if err != nil {
-				panic(fmt.Sprintf("cpu: functional translate of %v: %v", pa, err))
+			var real arch.PAddr
+			var page *[arch.PageSize]byte
+			if m != nil && m.shGen == c.shadowGen() {
+				real, page = m.realBase()|arch.PAddr(va.PageOff()), m.page
+			} else {
+				real, page = c.realPage(pa)
+				m = nil
 			}
-			c.memoize(va, e, kind, pa, real)
-			if check.Enabled && c.OnAccessCheck != nil {
-				c.OnAccessCheck(va, real)
+			if !c.cfg.NoFastPath {
+				c.memoize(m, va, e, kind, pa, real, page, cacheGen)
 			}
-			return real
+			c.checkAccess(va, real)
+			return page
 		}
 		if attempt >= 2 {
 			panic(fmt.Sprintf("cpu: access at %v keeps faulting", va))
@@ -352,18 +362,16 @@ func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *
 // bytes) and returns the little-endian value read.
 func (c *CPU) Load(va arch.VAddr, size int) uint64 {
 	c.Loads++
-	real := c.access(va, size, arch.Read)
+	b := c.access(va, size, arch.Read)[va.PageOff():]
 	switch size {
 	case 8:
-		return c.VM.Dram.ReadU64(real)
+		return binary.LittleEndian.Uint64(b)
 	case 4:
-		return uint64(c.VM.Dram.ReadU32(real))
+		return uint64(binary.LittleEndian.Uint32(b))
 	default:
-		var buf [8]byte
-		c.VM.Dram.Read(real, buf[:size])
 		v := uint64(0)
 		for i := size - 1; i >= 0; i-- {
-			v = v<<8 | uint64(buf[i])
+			v = v<<8 | uint64(b[i])
 		}
 		return v
 	}
@@ -372,18 +380,16 @@ func (c *CPU) Load(va arch.VAddr, size int) uint64 {
 // Store issues one store instruction of the given size.
 func (c *CPU) Store(va arch.VAddr, size int, val uint64) {
 	c.Stores++
-	real := c.access(va, size, arch.Write)
+	b := c.access(va, size, arch.Write)[va.PageOff():]
 	switch size {
 	case 8:
-		c.VM.Dram.WriteU64(real, val)
+		binary.LittleEndian.PutUint64(b, val)
 	case 4:
-		c.VM.Dram.WriteU32(real, uint32(val))
+		binary.LittleEndian.PutUint32(b, uint32(val))
 	default:
-		var buf [8]byte
 		for i := 0; i < size; i++ {
-			buf[i] = byte(val >> (8 * i))
+			b[i] = byte(val >> (8 * i))
 		}
-		c.VM.Dram.Write(real, buf[:size])
 	}
 }
 

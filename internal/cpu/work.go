@@ -10,15 +10,14 @@ import "fmt"
 // to an engine may move them while every simulated number stays put.
 type Work struct {
 	Slow    uint64 // references that entered accessSlow
-	Fills   uint64 // replay-memo slot fills
+	Fills   uint64 // page-memo slots filled, by either engine
 	Escapes uint64 // batched-replay references sent down the per-reference path
-	Retired uint64 // compiled runs the batched replay loop retired whole
 }
 
 // HostWork reports the host work done for cpus' references as one line:
-// the references that took the slow path and their share, replay-memo
-// fills, replay escapes, retired runs, and the TLB index cells probed
-// in all and per reference.
+// the references that took the slow path and their share, page-memo
+// fills, replay escapes, and the TLB index cells probed in all and per
+// reference.
 func HostWork(cpus ...*CPU) string {
 	var w Work
 	var refs, probes uint64
@@ -26,11 +25,10 @@ func HostWork(cpus ...*CPU) string {
 		w.Slow += c.Work.Slow
 		w.Fills += c.Work.Fills
 		w.Escapes += c.Work.Escapes
-		w.Retired += c.Work.Retired
 		refs += c.Loads + c.Stores
 		probes += c.TLB.Probes
 	}
 	n := float64(max(refs, 1))
-	return fmt.Sprintf("host work: %d of %d refs slow (%.1f%%), %d replay-memo fills, %d escapes, %d runs retired, %d TLB probes (%.2f/ref)",
-		w.Slow, refs, 100*float64(w.Slow)/n, w.Fills, w.Escapes, w.Retired, probes, float64(probes)/n)
+	return fmt.Sprintf("host work: %d of %d refs slow (%.1f%%), %d memo fills, %d escapes, %d TLB probes (%.2f/ref)",
+		w.Slow, refs, 100*float64(w.Slow)/n, w.Fills, w.Escapes, probes, float64(probes)/n)
 }

@@ -72,6 +72,14 @@ func (d *DRAM) frame(p arch.PAddr) []byte {
 	return d.slabs[slot/slabFrames][off : off+arch.PageSize]
 }
 
+// Page returns the storage of the frame holding p, materializing it on
+// first touch. A frame's storage never moves once materialized (slabs
+// are never reallocated), so a caller may keep the pointer for as long
+// as it knows the frame still backs what it maps.
+func (d *DRAM) Page(p arch.PAddr) *[arch.PageSize]byte {
+	return (*[arch.PageSize]byte)(d.frame(p))
+}
+
 // Read copies len(buf) bytes starting at physical address p into buf,
 // crossing frame boundaries as needed.
 func (d *DRAM) Read(p arch.PAddr, buf []byte) {

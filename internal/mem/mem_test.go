@@ -56,6 +56,27 @@ func TestDRAMWordAccessors(t *testing.T) {
 	}
 }
 
+// TestDRAMPageIsFrameStorage pins what the CPU's page memo relies on: a
+// frame's Page is the storage the word accessors read and write, and
+// it stays put while later frames materialize.
+func TestDRAMPageIsFrameStorage(t *testing.T) {
+	d := NewDRAM(4 * arch.MB)
+	p := d.Page(0x3000)
+	p[0x10] = 0xAB
+	if got := d.ReadU32(0x3010); got != 0xAB {
+		t.Fatalf("ReadU32 through the frame = %#x, want 0xab", got)
+	}
+	for f := uint64(0); f < d.Frames(); f++ {
+		d.WriteU64(arch.FrameToPAddr(f), f)
+	}
+	if d.Page(0x3000) != p || d.Page(0x3fff) != p {
+		t.Fatal("a frame's storage moved once more frames materialized")
+	}
+	if d.ReadU64(0x3000) != 3 || p[0] != 3 {
+		t.Fatal("Page and ReadU64 disagree")
+	}
+}
+
 func TestDRAMWordRoundTripProperty(t *testing.T) {
 	d := NewDRAM(1 * arch.MB)
 	f := func(off uint16, v uint64) bool {

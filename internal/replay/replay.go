@@ -19,9 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
-	"slices"
-	"sort"
 	"unsafe"
 
 	"shadowtlb/internal/arch"
@@ -47,23 +44,15 @@ const Quantum = 4096
 
 // chunk holds one block of references in column form. Pre-splitting the
 // virtual address at the page shift costs nothing here (compile time)
-// and matches what every consumer wants: the CPU's fast path keys its
-// memo on the VPN, and offsets never exceed 12 bits. The columns pack
-// one ref into 11 bytes + 1 bit against workload.Ref's padded 32; the
-// run tables add about 5 bytes per ref more (DESIGN.md §15).
+// and matches what every consumer wants: the CPU's page memo keys on
+// the VPN, and offsets never exceed 12 bits. The columns pack one ref
+// into 11 bytes + 1 bit against workload.Ref's padded 32.
 type chunk struct {
 	vpn   []uint32 // virtual page number (VA >> arch.PageShift)
 	off   []uint16 // page offset (VA & arch.PageMask)
 	size  []uint8  // access size in bytes (1, 2, 4, 8)
 	step  []uint32 // non-memory instructions folded after this ref
 	store []uint64 // op bitmap: bit i set = ref i is a store
-	// runs are the compiled run summaries over this chunk's refs,
-	// ordered by Start (chunk-relative), and runVPN and runLines their
-	// footprints; each is built once, at its exact size, when the chunk
-	// is sealed. See workload.RefRun.
-	runs     []workload.RefRun
-	runVPN   []uint32
-	runLines []workload.RunLine
 }
 
 // newChunk preallocates full columns so appends never grow them.
@@ -120,12 +109,12 @@ func (p *Program) Refs() int { return p.nrefs }
 func (p *Program) Segments() int { return len(p.segs) }
 
 // Bytes returns the memory the program's tables hold: the capacity of
-// every column, run table, footprint and the segment list.
+// every column and of the segment list.
 func (p *Program) Bytes() int {
 	n := bytesOf(p.segs) + bytesOf(p.chunks)
 	for _, c := range p.chunks {
 		n += bytesOf(c.vpn) + bytesOf(c.off) + bytesOf(c.size) + bytesOf(c.step) +
-			bytesOf(c.store) + bytesOf(c.runs) + bytesOf(c.runVPN) + bytesOf(c.runLines)
+			bytesOf(c.store)
 	}
 	return n
 }
@@ -142,19 +131,10 @@ type builder struct {
 	cur     *chunk // chunk being filled (== last of p.chunks)
 	openLo  int    // start of the open refs run, -1 when none
 	regions int    // alloc counter for precomputed names
-	// cuts are the chunk-relative ends of the refs segments closed
-	// since cur was opened: runs must not cross them.
-	cuts []int
-	// runs, runVPN and runLines are scratch run tables, reused for
-	// every chunk; sealChunk copies them into the chunk at exact size.
-	runs     []workload.RefRun
-	runVPN   []uint32
-	runLines []workload.RunLine
 }
 
 func newBuilder() *builder {
-	b := &builder{p: &Program{}, openLo: -1}
-	return b
+	return &builder{p: &Program{}, openLo: -1}
 }
 
 // ref appends one memory reference, opening a refs segment if needed.
@@ -164,7 +144,6 @@ func (b *builder) ref(va arch.VAddr, size uint8, isStore bool) {
 	}
 	i := b.p.nrefs & chunkMask
 	if i == 0 {
-		b.sealChunk()
 		b.cur = newChunk()
 		b.p.chunks = append(b.p.chunks, b.cur)
 	}
@@ -205,7 +184,6 @@ func (b *builder) step(n uint64) {
 func (b *builder) closeRun() {
 	if b.openLo >= 0 {
 		b.p.segs = append(b.p.segs, segment{op: opRefs, lo: b.openLo, hi: b.p.nrefs})
-		b.cuts = append(b.cuts, b.p.nrefs-(len(b.p.chunks)-1)<<chunkShift)
 		b.openLo = -1
 	}
 }
@@ -246,104 +224,10 @@ func (b *builder) add(rec trace.Record) error {
 	return nil
 }
 
-// runCycleCap bounds a compiled run's cycle total. Runs are split at
-// this many cycles so that a retiring CPU usually has instruction-fetch
-// headroom left (the default fetch period is 120 cycles): a cap near
-// the period would make maximal runs retirable only just after a fetch.
-const runCycleCap = 32
-
 // finish seals the program and returns it.
 func (b *builder) finish() *Program {
 	b.closeRun()
-	b.sealChunk()
 	return b.p
-}
-
-// sealChunk compiles the run tables of the chunk being filled, once its
-// refs are final (a step folds only into the newest ref). Runs are
-// built over the spans runCols hands out, each chunk's refs cut at
-// every refs segment's end, so no span ever splits a run.
-func (b *builder) sealChunk() {
-	c := b.cur
-	if c == nil {
-		return
-	}
-	b.runs, b.runVPN, b.runLines = b.runs[:0], b.runVPN[:0], b.runLines[:0]
-	lo := 0
-	for _, hi := range append(b.cuts, len(c.vpn)) {
-		if hi > lo {
-			b.buildRuns(c, lo, hi)
-			lo = hi
-		}
-	}
-	b.cuts = b.cuts[:0]
-	c.runs, c.runVPN, c.runLines = exact(b.runs), exact(b.runVPN), exact(b.runLines)
-}
-
-// exact returns a copy of s whose capacity is its length.
-func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
-
-// pageLineWords sizes a per-page cache-line bitmap.
-const pageLineWords = arch.PageSize / arch.LineSize / 64
-
-// buildRuns appends to the scratch tables the run summaries for refs
-// [lo, hi) of c (chunk-relative): maximal stretches spanning at most
-// workload.RunPages distinct pages, split at runCycleCap cycles. A
-// single reference whose folded step alone exceeds the cap gets an
-// unretirable run so every ref stays covered by exactly one run.
-func (b *builder) buildRuns(c *chunk, lo, hi int) {
-	for j := lo; j < hi; {
-		r := workload.RefRun{
-			Start: uint32(j),
-			Page:  uint32(len(b.runVPN)),
-			Line:  uint32(len(b.runLines)),
-		}
-		// Per-page line bitmaps, flattened into the footprint once the
-		// run ends so every touched line appears exactly once.
-		var lines, written [workload.RunPages][pageLineWords]uint64
-		pages := b.runVPN[r.Page:]
-		cyc := uint64(0)
-		for ; j < hi; j++ {
-			stepc := 1 + uint64(c.step[j])
-			if cyc > 0 && cyc+stepc > runCycleCap {
-				break
-			}
-			vpn := c.vpn[j]
-			pk := slices.Index(pages, vpn)
-			if pk < 0 {
-				if len(pages) == workload.RunPages {
-					break
-				}
-				pk = len(pages)
-				b.runVPN = append(b.runVPN, vpn)
-				pages = b.runVPN[r.Page:]
-			}
-			li := uint64(c.off[j]) >> arch.LineShift
-			lines[pk][li>>6] |= 1 << (li & 63)
-			if c.store[j>>6]&(1<<(j&63)) != 0 {
-				written[pk][li>>6] |= 1 << (li & 63)
-				r.Stores++
-			}
-			cyc += stepc
-		}
-		r.Count = uint8(uint32(j) - r.Start)
-		r.Cycles = uint8(cyc)
-		if cyc > runCycleCap {
-			r.Cycles = workload.Unretirable
-		}
-		r.NPages = uint8(len(pages))
-		for k := range pages {
-			for w, word := range lines[k] {
-				for ; word != 0; word &= word - 1 {
-					bit := bits.TrailingZeros64(word)
-					wr := written[k][w]>>bit&1 != 0
-					b.runLines = append(b.runLines, workload.NewRunLine(k, uint64(w*64+bit), wr))
-				}
-			}
-		}
-		r.NLines = uint8(len(b.runLines) - int(r.Line))
-		b.runs = append(b.runs, r)
-	}
 }
 
 // Compile builds a Program from in-memory records.
@@ -420,12 +304,11 @@ func (e *Engine) SbrkSuperpages() bool { return e.p.SbrkSuper }
 func (e *Engine) Run(env workload.Env) {
 	cs, _ := env.(workload.ColStreamer)
 	st, _ := env.(workload.Streamer)
-	next := 0 // first run of the next refs span, in that span's chunk
 	for _, seg := range e.p.segs {
 		switch seg.op {
 		case opRefs:
 			if cs != nil {
-				next = e.runCols(cs, seg.lo, seg.hi, next)
+				e.runCols(cs, seg.lo, seg.hi)
 				continue
 			}
 			for lo := seg.lo; lo < seg.hi; {
@@ -467,28 +350,11 @@ func (e *Engine) Run(env workload.Env) {
 // runCols hands refs [lo, hi) to a column-consuming environment in
 // chunk-sized spans: no materialization at all — the environment reads
 // the compiled columns in place, one call per up-to-64K-ref span.
-//
-// Runs are built over exactly these spans (sealChunk cuts at every
-// segment end), so no span splits a run, and Run hands the spans out in
-// ref order. A span's runs therefore start where the previous span's
-// ended — at next, or at 0 in a new chunk — and its last run is found
-// by binary search on Start among the at most run runs that follow.
-// runCols returns the run after its last span's.
-func (e *Engine) runCols(cs workload.ColStreamer, lo, hi, next int) int {
+func (e *Engine) runCols(cs workload.ColStreamer, lo, hi int) {
 	for lo < hi {
 		c := e.p.chunks[lo>>chunkShift]
 		i := lo & chunkMask
-		run := chunkRefs - i
-		if run > hi-lo {
-			run = hi - lo
-		}
-		rlo := next
-		if i == 0 {
-			rlo = 0
-		}
-		rhi := rlo + sort.Search(min(run, len(c.runs)-rlo), func(k int) bool {
-			return c.runs[rlo+k].Start >= uint32(i+run)
-		})
+		run := min(chunkRefs-i, hi-lo)
 		cs.StreamCols(workload.RefCols{
 			VPN:      c.vpn[i : i+run],
 			Off:      c.off[i : i+run],
@@ -497,14 +363,9 @@ func (e *Engine) runCols(cs workload.ColStreamer, lo, hi, next int) int {
 			Store:    c.store,
 			Bit0:     i,
 			StoreVal: storeFill,
-			Runs:     c.runs[rlo:rhi],
-			RunVPN:   c.runVPN,
-			RunLines: c.runLines,
 		})
-		next = rhi
 		lo += run
 	}
-	return next
 }
 
 // fill materializes refs [lo, lo+n) from the columns into e.buf. The

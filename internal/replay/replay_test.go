@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -17,8 +16,11 @@ import (
 	"shadowtlb/internal/cpu"
 	"shadowtlb/internal/exp"
 	"shadowtlb/internal/sim"
+	"shadowtlb/internal/stats"
 	"shadowtlb/internal/trace"
+	"shadowtlb/internal/vm"
 	"shadowtlb/internal/workload"
+	"shadowtlb/internal/workload/radix"
 )
 
 // paperWorkloads are the five paper workloads the differential suite
@@ -251,135 +253,10 @@ type colsEnv struct{ countEnv }
 
 func (e *colsEnv) StreamCols(cols workload.RefCols) { e.refs += uint64(cols.Len()) }
 
-// TestRunPartition checks the compiled run tables of every paper
-// workload. Runs partition each chunk's refs in order, within the page
-// and cycle bounds, and their tables are exact-size. Each run's
-// footprint is exactly the lines its references touch and store to:
-// every such line once, no other. And every span Engine.Run hands a
-// column consumer carries exactly the runs covering it, as runCols
-// slices them.
-func TestRunPartition(t *testing.T) {
-	cfg := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
-	for _, name := range paperWorkloads {
-		w, err := exp.MakeWorkload(name, exp.Small)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, p := Record(cfg, w)
-		for ci, c := range p.chunks {
-			if cap(c.runs) != len(c.runs) || cap(c.runVPN) != len(c.runVPN) || cap(c.runLines) != len(c.runLines) {
-				t.Fatalf("%s chunk %d: run tables not exact-size", name, ci)
-			}
-			var next, page, line uint32
-			for ri, r := range c.runs {
-				where := fmt.Sprintf("%s chunk %d run %d", name, ci, ri)
-				if r.Start != next || r.Page != page || r.Line != line {
-					t.Fatalf("%s: at ref/page/line %d/%d/%d, want %d/%d/%d",
-						where, r.Start, r.Page, r.Line, next, page, line)
-				}
-				checkRun(t, where, c, r)
-				next += uint32(r.Count)
-				page += uint32(r.NPages)
-				line += uint32(r.NLines)
-			}
-			if int(next) != len(c.vpn) || int(page) != len(c.runVPN) || int(line) != len(c.runLines) {
-				t.Fatalf("%s chunk %d: runs cover %d of %d refs, %d of %d pages, %d of %d lines", name, ci,
-					next, len(c.vpn), page, len(c.runVPN), line, len(c.runLines))
-			}
-		}
-		env := &spanEnv{t: t, name: name}
-		NewEngine(p).Run(env)
-		if env.refs != uint64(p.Refs()) {
-			t.Fatalf("%s: spans carried %d of %d refs", name, env.refs, p.Refs())
-		}
-	}
-}
-
-// checkRun holds run r of chunk c against its references, recomputed
-// from the columns.
-func checkRun(t *testing.T, where string, c *chunk, r workload.RefRun) {
-	t.Helper()
-	if r.Count == 0 || r.NPages == 0 || int(r.NPages) > workload.RunPages {
-		t.Fatalf("%s: %d refs over %d pages", where, r.Count, r.NPages)
-	}
-	type lineKey struct {
-		vpn uint32
-		li  uint64
-	}
-	want := map[lineKey]bool{} // touched line -> stored to
-	touched := map[uint32]bool{}
-	var stores uint8
-	cycles := 0
-	for j := r.Start; j < r.Start+uint32(r.Count); j++ {
-		st := c.store[j>>6]&(1<<(j&63)) != 0
-		k := lineKey{c.vpn[j], uint64(c.off[j]) >> arch.LineShift}
-		want[k] = want[k] || st
-		touched[k.vpn] = true
-		if st {
-			stores++
-		}
-		cycles += 1 + int(c.step[j])
-	}
-	if r.Stores != stores {
-		t.Fatalf("%s: %d stores, want %d", where, r.Stores, stores)
-	}
-	switch {
-	case cycles <= runCycleCap && int(r.Cycles) != cycles:
-		t.Fatalf("%s: %d cycles, want %d", where, r.Cycles, cycles)
-	case cycles > runCycleCap && (r.Cycles != workload.Unretirable || r.Count != 1):
-		t.Fatalf("%s: %d cycles over %d refs marked %d", where, cycles, r.Count, r.Cycles)
-	}
-	pages := c.runVPN[r.Page : r.Page+uint32(r.NPages)]
-	for k, vpn := range pages {
-		if !touched[vpn] || slices.Index(pages, vpn) != k {
-			t.Fatalf("%s: pages %#x, want each of %v once", where, pages, touched)
-		}
-	}
-	if len(pages) != len(touched) {
-		t.Fatalf("%s: pages %#x, want each of %v once", where, pages, touched)
-	}
-	got := map[lineKey]bool{}
-	for _, l := range c.runLines[r.Line : r.Line+uint32(r.NLines)] {
-		k := lineKey{pages[l.Page()], l.Index()}
-		if _, dup := got[k]; dup {
-			t.Fatalf("%s: line %+v listed twice", where, k)
-		}
-		got[k] = l.Written()
-	}
-	if !maps.Equal(got, want) {
-		t.Fatalf("%s: footprint %v, want %v", where, got, want)
-	}
-}
-
-// spanEnv is a column consumer that checks each span's runs cover it
-// exactly: the first starts at the span's first ref and each next one
-// where the previous ends, up to the span's end.
-type spanEnv struct {
-	countEnv
-	t    *testing.T
-	name string
-}
-
-func (e *spanEnv) StreamCols(cols workload.RefCols) {
-	at := cols.Bit0
-	for _, r := range cols.Runs {
-		if int(r.Start) != at {
-			e.t.Fatalf("%s: span [%d,%d) has a run at %d, want %d", e.name, cols.Bit0, cols.Bit0+cols.Len(), r.Start, at)
-		}
-		at += int(r.Count)
-	}
-	if at != cols.Bit0+cols.Len() {
-		e.t.Fatalf("%s: span [%d,%d) runs end at %d", e.name, cols.Bit0, cols.Bit0+cols.Len(), at)
-	}
-	e.refs += uint64(cols.Len())
-}
-
 // TestProgramBytes bounds the compiled program's memory per reference
-// by its layout. The columns take 11 bytes + 1 bit per ref; the run
-// tables, a 20-byte header per run plus 4 bytes per footprint page and
-// 2 per footprint line, add about 4 more on small radix; the bound
-// leaves room for the last chunk's unused column capacity. The layout
-// with fixed 184-byte runs and a per-ref run index took about 38.
+// by its layout: the columns take 11 bytes + 1 bit per ref, and the
+// bound leaves room for the segment list and the last chunk's unused
+// column capacity.
 func TestProgramBytes(t *testing.T) {
 	w, err := exp.MakeWorkload("radix", exp.Small)
 	if err != nil {
@@ -388,8 +265,8 @@ func TestProgramBytes(t *testing.T) {
 	_, p := Record(sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig()), w)
 	perRef := float64(p.Bytes()) / float64(p.Refs())
 	t.Logf("radix small: %d refs, %d bytes, %.2f B/ref", p.Refs(), p.Bytes(), perRef)
-	if perRef > 18 {
-		t.Errorf("compiled program holds %.2f B/ref, want at most 18", perRef)
+	if perRef > 13 {
+		t.Errorf("compiled program holds %.2f B/ref, want at most 13", perRef)
 	}
 }
 
@@ -421,6 +298,96 @@ func TestReplayConfigIndependent(t *testing.T) {
 		}
 	}
 	t.Logf("%d cells", len(seen))
+}
+
+// TestReplayMatchesLiveUnderPressure records workloads on
+// tlb64+mtlb128/2w and replays them on machines that move translations
+// under the page memo while it runs, each of which the experiments
+// never declare: a frame cap that makes the page-out daemon swap
+// shadow-backed pages out and back in (the shadow generation), online
+// superpage promotion (TLB purges and new shadow mappings), and two
+// processes time-sliced on one CPU (SwitchVM). Each replay must equal
+// the same machine running the workload live, and the pressure must
+// have occurred.
+func TestReplayMatchesLiveUnderPressure(t *testing.T) {
+	rec := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
+
+	// Swap: radix at the size TestFastPathDifferentialSwapPressure
+	// uses, about 260 pages against 180 frames; small radix fits.
+	swapRadix := func() workload.Workload { return radix.New(radix.Config{Keys: 1 << 17, Radix: 256}) }
+	// Promotion: radix remaps its own space, leaving the policy nothing
+	// to promote, so a region the program never remaps is added.
+	random := func() workload.Workload {
+		return &workload.RandomAccess{Bytes: 1 * arch.MB, Accesses: 100_000, WriteFrac: 25, StepPer: 2}
+	}
+	for _, tc := range []struct {
+		name     string
+		w        func() workload.Workload
+		cfg      sim.Config
+		setup    func(*sim.System)
+		pressure func(*sim.System) uint64
+	}{
+		{"swap/radix-128k", swapRadix, func() sim.Config { c := rec; c.MaxUserFrames = 180; return c }(),
+			func(*sim.System) {}, func(s *sim.System) uint64 { return s.VM.SwapOuts }},
+		{"promotion/radix", func() workload.Workload { return smallWorkload(t, "radix") }, rec,
+			func(s *sim.System) { s.VM.EnablePromotion(vm.DefaultPromotePolicy()) }, nil},
+		{"promotion/random", random, rec,
+			func(s *sim.System) { s.VM.EnablePromotion(vm.DefaultPromotePolicy()) },
+			func(s *sim.System) uint64 { return s.VM.PromotionsMade() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, p := Record(rec, tc.w())
+			run := func(w workload.Workload) (sim.Result, uint64) {
+				s := sim.New(tc.cfg)
+				tc.setup(s)
+				res := s.Run(w)
+				if tc.pressure == nil {
+					return res, 0
+				}
+				return res, tc.pressure(s)
+			}
+			live, livePressure := run(tc.w())
+			rep, repPressure := run(NewEngine(p))
+			if rep != live || repPressure != livePressure {
+				t.Errorf("replay diverged from live:\nlive:   %+v (pressure %d)\nreplay: %+v (pressure %d)", live, livePressure, rep, repPressure)
+			}
+			if tc.pressure != nil && livePressure == 0 {
+				t.Error("the machine exerted no pressure")
+			}
+		})
+	}
+
+	t.Run("multiprogrammed/radix", func(t *testing.T) {
+		_, p := Record(rec, smallWorkload(t, "radix"))
+		type proc struct {
+			Cycles, TLBMiss stats.Cycles
+			Switches        uint64
+		}
+		type machine struct {
+			Total     stats.Cycles
+			Breakdown stats.Breakdown
+			TLB       stats.HitMiss
+			Cache     stats.HitMiss
+			Procs     []proc
+		}
+		run := func(w1, w2 workload.Workload) machine {
+			ms := sim.NewMulti(rec, []workload.Workload{w1, w2}, 50_000)
+			m := machine{Total: ms.Run(), Breakdown: ms.CPU.Breakdown,
+				TLB: ms.CPU.TLB.Stats, Cache: ms.CPU.Cache.Stats}
+			for _, pr := range ms.Procs {
+				m.Procs = append(m.Procs, proc{pr.Cycles, pr.TLBMissCycles, pr.Switches})
+			}
+			return m
+		}
+		live := run(smallWorkload(t, "radix"), smallWorkload(t, "radix"))
+		rep := run(NewEngine(p), NewEngine(p))
+		if !reflect.DeepEqual(rep, live) {
+			t.Errorf("replay diverged from live:\nlive:   %+v\nreplay: %+v", live, rep)
+		}
+		if live.Procs[0].Switches < 2 {
+			t.Errorf("the processes were switched in %d times", live.Procs[0].Switches)
+		}
+	})
 }
 
 // TestEngineSteadyStateAllocs proves replay allocates nothing per run

@@ -28,7 +28,7 @@
 // lowest slot; otherwise at most one entry covers an address and the
 // first hit ends the probe.
 //
-// Callers that memoize lookups (the CPU's page memos) validate them with
+// Callers that memoize lookups (the CPU's page memo) validate them with
 // two numbers: the entry's install stamp, which changes whenever its slot
 // is overwritten, evicted or purged, and the TLB's shape generation,
 // which moves only on PurgeAll and on inserts that create an overlap.
@@ -71,12 +71,6 @@ type Entry struct {
 func (e *Entry) Translate(addr uint64) uint64 {
 	return e.Target | (addr & e.Class.Mask())
 }
-
-// Referenced reports the entry's NRU referenced bit. While it is set,
-// touching the entry is a provable no-op (touch early-returns before
-// any state change), so a batched consumer holding a stamp-checked
-// pointer may defer the touch as a pure hit count.
-func (e *Entry) Referenced() bool { return e.nru }
 
 // Stamp returns the entry's install stamp: a value unique to one
 // installation of a mapping in a slot, and zero in an empty slot.
@@ -252,8 +246,8 @@ func (t *TLB) ShapeGen() uint64 { return t.shape }
 // FastHit replays the bookkeeping of a Lookup hit — the hit counter and
 // NRU referenced-bit maintenance — on an entry the caller already knows
 // Lookup would return, skipping the search. e must be a valid entry of
-// t; the CPU's memos guarantee this by checking its stamp and the shape
-// generation.
+// t; the CPU's page memo guarantees this by checking its stamp and the
+// shape generation.
 func (t *TLB) FastHit(e *Entry) {
 	t.Stats.Hit()
 	t.touch(e)
