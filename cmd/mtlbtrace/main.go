@@ -10,7 +10,7 @@
 // A trace captured once replays bit-identically on any machine
 // configuration, so configuration comparisons see exactly the same
 // reference stream. Replay compiles the trace into the batch engine
-// (internal/replay) and reports the compiled program's size.
+// (internal/replay) and reports the compiled program's size and layout.
 package main
 
 import (
@@ -190,6 +190,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				p.Refs(), res.Label, res.TotalCycles(), 100*res.TLBFraction())
 			fmt.Fprintf(stdout, "compiled program: %d bytes, %.1f B/ref\n",
 				p.Bytes(), float64(p.Bytes())/float64(max(p.Refs(), 1)))
+			l := p.Layout()
+			fmt.Fprintf(stdout, "program layout: %d segments; %d B columns, %d B page dictionaries, %d B step overflow, %d B segments\n",
+				l.Segments, l.Columns, l.Pages, l.Extra, l.SegBytes)
 			fmt.Fprintln(stdout, cpu.HostWork(s.CPU))
 		}
 

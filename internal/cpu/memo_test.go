@@ -40,7 +40,7 @@ func TestMemoSurvivesOtherTLBMutations(t *testing.T) {
 		fills := c.Work.Fills
 		c.StreamCols(workload.RefCols{
 			VPN: []uint32{uint32(a >> arch.PageShift)}, Off: []uint16{0},
-			Size: []uint8{8}, Step: []uint32{0}, Store: []uint64{0},
+			Code: []uint8{workload.PackCode(8, 0)}, Store: []uint64{0},
 		})
 		return c.Work.Fills - fills
 	}

@@ -1,5 +1,6 @@
 // Batched replay path: StreamCols consumes a column-form reference run
-// (workload.RefCols, the compiled replay engine's storage layout)
+// (workload.RefCols: the compiled replay engine's columns, read in place,
+// with each span's page numbers gathered from the chunk's dictionary)
 // without materializing workload.Ref values and without the functional
 // DRAM traffic of Load/Store — replayed loads discard their values and
 // replayed stores write a placeholder, and no counter anywhere in the
@@ -21,11 +22,20 @@
 //     path, or the end of the run.
 //
 // Equivalence with per-reference execution rests on the same facts the
-// fast path proves (fastpath.go) plus four more, each load-bearing:
+// fast path proves (fastpath.go) plus five more, each load-bearing:
 //
 //   - Kernel.Advance is associative: ticks fire on cumulative cycle
 //     counts, so Charge(a+b) ≡ Charge(a);Charge(b) when no OnTick hook
 //     runs between them;
+//   - so are a reference's steps. RefCols.Issue calls Step once per
+//     recorded step, because Step checks for preemption first and under
+//     a quantum a switch may land between Step(a) and Step(b). Without
+//     a quantum Step(n) is instr(n), and instr(a);instr(b) ≡ instr(a+b):
+//     the same instructions and cycles are charged and the same
+//     instruction fetches run in the same order, while nothing between
+//     them reads the cycle or tick count once no timeline, sampler or
+//     tick hook is attached. So the loop charges a reference's code-byte
+//     step and every ExtraStep of it as one;
 //   - TLB NRU touches are idempotent between TLB mutations: touch
 //     returns immediately once the referenced bit is set, and any
 //     mutation that could clear it (an insert, purge, or another
@@ -67,17 +77,7 @@ func (c *CPU) StreamCols(cols workload.RefCols) {
 		return
 	}
 	// Exact fallback: per-reference issue, full functional accesses.
-	for i := 0; i < cols.Len(); i++ {
-		r := cols.Ref(i)
-		if r.Store {
-			c.Store(r.VA, int(r.Size), r.Val)
-		} else {
-			c.Load(r.VA, int(r.Size))
-		}
-		if r.Step > 0 {
-			c.Step(int(r.Step))
-		}
-	}
+	cols.Issue(c)
 }
 
 // replayBatchable reports whether batched counter accumulation is
@@ -153,9 +153,9 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	// resume runs the step of a reference a per-reference path has
 	// finished, as Step would, and re-hoists the state that path may
 	// have changed: it ran arbitrary machine code.
-	resume := func(step uint32) {
+	resume := func(step int) {
 		if step > 0 {
-			c.Step(int(step))
+			c.Step(step)
 		}
 		si = c.sinceIFetch
 		shape, shGen, cGen = c.TLB.ShapeGen(), c.shadowGen(), c.Cache.Gen()
@@ -173,6 +173,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 		}
 	}
 
+	extra := cols.Extra // the extra steps not yet charged
 	n := len(cols.VPN)
 	for i := 0; i < n; i++ {
 		vpn := uint64(cols.VPN[i])
@@ -180,7 +181,13 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 		va := arch.VAddr(vpn<<arch.PageShift | uint64(off))
 		bit := cols.Bit0 + i
 		isStore := cols.Store[bit>>6]&(1<<(bit&63)) != 0
-		step := cols.Step[i]
+		code := cols.Code[i]
+		// All of the reference's steps, charged as one.
+		step := int(workload.CodeStep(code))
+		for len(extra) > 0 && int(extra[0].At) == bit {
+			step += int(extra[0].N)
+			extra = extra[1:]
+		}
 
 		// An instruction-fetch boundary lands inside this reference:
 		// take the full per-reference path, which fetches at the exact
@@ -188,7 +195,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 		if si+1 >= period {
 			c.Work.Escapes++
 			sync()
-			c.replayOne(va, int(cols.Size[i]), isStore)
+			c.replayOne(va, workload.CodeSize(code), isStore)
 			resume(step)
 			continue
 		}
@@ -255,7 +262,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	folded:
 		if step > 0 {
 			pend += uint64(step)
-			si += int(step)
+			si += step
 			if si >= period {
 				// instr(n) charges the whole batch, then fetches.
 				flush()

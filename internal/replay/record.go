@@ -33,14 +33,14 @@ func (c *Capture) Program() *Program { return c.b.finish() }
 
 // Load records and forwards a load.
 func (c *Capture) Load(va arch.VAddr, size int) uint64 {
-	c.b.ref(va, uint8(size), false)
+	c.b.ref(va, size, false)
 	return c.Env.Load(va, size)
 }
 
 // Store records and forwards a store. Values are not captured: replay
 // timing is value-independent and replayed stores write a placeholder.
 func (c *Capture) Store(va arch.VAddr, size int, val uint64) {
-	c.b.ref(va, uint8(size), true)
+	c.b.ref(va, size, true)
 	c.Env.Store(va, size, val)
 }
 
@@ -57,7 +57,7 @@ func (c *Capture) Step(n int) {
 func (c *Capture) Stream(refs []workload.Ref) {
 	for i := range refs {
 		r := &refs[i]
-		c.b.ref(r.VA, r.Size, r.Store)
+		c.b.ref(r.VA, int(r.Size), r.Store)
 		if r.Step > 0 {
 			c.b.step(uint64(r.Step))
 		}

@@ -1,24 +1,26 @@
 // Package replay is the batch-compiled trace execution engine: it turns
 // a recorded reference trace (trace v1, or a live capture of any
-// registered workload) into a Program — flat, preallocated columnar
-// arrays of pre-split virtual page numbers and page offsets, an op
-// bitmap, access sizes and folded instruction steps, chunked so the
-// replay loop walks cache-resident blocks — and drives the simulated
-// CPU through workload.Streamer in large quanta.
+// registered workload) into a Program — exact-size column chunks of
+// 64 K references, about 5 bytes each: a 16-bit index into the chunk's
+// page dictionary, the page offset, one byte packing the access size
+// and first instruction step, and a store bitmap, with a sparse table
+// for the steps that byte cannot hold — and drives the simulated CPU
+// through workload.ColStreamer in large spans.
 //
 // Replay eliminates everything a live run pays besides the simulation
 // itself: the workload's own computation and the per-access interface
 // dispatch through workload.Env. The engine allocates nothing in steady
-// state — the simulated CPU reads the columns in place, and other
-// environments get one reusable quantum buffer materialized from them —
-// and the differential suite proves the replayed counters are
-// bit-identical to the live run's (TestReplayMatchesLive).
+// state — it gathers each span's page numbers into one reusable buffer
+// and the simulated CPU reads the other columns in place — and the
+// differential suite proves the replayed counters are bit-identical to
+// the live run's (TestReplayMatchesLive).
 package replay
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"unsafe"
 
 	"shadowtlb/internal/arch"
@@ -26,9 +28,9 @@ import (
 	"shadowtlb/internal/workload"
 )
 
-// chunkShift sizes the columnar chunks: 1<<chunkShift refs per chunk.
-// 64 K refs ≈ 1 MB of columns per chunk — appended without ever
-// re-copying earlier refs, and walked sequentially at replay.
+// chunkShift sizes the columnar chunks: 1<<chunkShift refs per chunk,
+// so a uint16 indexes any reference or page of a chunk. A chunk is
+// built in the builder's scratch columns and sealed at exact size.
 const chunkShift = 16
 
 const (
@@ -36,39 +38,37 @@ const (
 	chunkMask = chunkRefs - 1
 )
 
-// Quantum is how many refs the engine materializes per cpu.Stream call:
-// large enough that per-batch overhead (one dynamic dispatch, one
-// bounds-checked slice) vanishes, small enough that the decode buffer
-// stays cache-resident.
-const Quantum = 4096
+// span is how many references the engine hands an environment per
+// call: it gathers their page numbers into its buffer, 64 KB of them,
+// and passes the other columns in place.
+const span = 1 << 14
 
-// chunk holds one block of references in column form. Pre-splitting the
-// virtual address at the page shift costs nothing here (compile time)
-// and matches what every consumer wants: the CPU's page memo keys on
-// the VPN, and offsets never exceed 12 bits. The columns pack one ref
-// into 11 bytes + 1 bit against workload.Ref's padded 32.
+// chunk holds one block of references in column form, 5 bytes and 1 bit
+// per reference. The virtual address is pre-split at the page shift at
+// compile time because every consumer wants it so — the CPU's page memo
+// keys on the page number, and offsets never exceed 12 bits — and a
+// chunk touches few pages, so each reference names its page by a
+// 16-bit index into the chunk's own dictionary.
 type chunk struct {
-	vpn   []uint32 // virtual page number (VA >> arch.PageShift)
-	off   []uint16 // page offset (VA & arch.PageMask)
-	size  []uint8  // access size in bytes (1, 2, 4, 8)
-	step  []uint32 // non-memory instructions folded after this ref
-	store []uint64 // op bitmap: bit i set = ref i is a store
+	page  []uint16             // index into pages
+	off   []uint16             // page offset (VA & arch.PageMask)
+	code  []uint8              // access size and first step (workload.PackCode)
+	store []uint64             // op bitmap: bit i set = ref i is a store
+	pages []uint32             // page dictionary: virtual page numbers
+	extra []workload.ExtraStep // steps the code bytes cannot hold, in ref order
 }
 
-// newChunk preallocates full columns so appends never grow them.
-func newChunk() *chunk {
-	return &chunk{
-		vpn:   make([]uint32, 0, chunkRefs),
-		off:   make([]uint16, 0, chunkRefs),
-		size:  make([]uint8, 0, chunkRefs),
-		step:  make([]uint32, 0, chunkRefs),
-		store: make([]uint64, (chunkRefs+63)/64),
-	}
+// extras returns the chunk's extra steps of refs [i, i+n).
+func (c *chunk) extras(i, n int) []workload.ExtraStep {
+	lo := sort.Search(len(c.extra), func(k int) bool { return int(c.extra[k].At) >= i })
+	hi := sort.Search(len(c.extra), func(k int) bool { return int(c.extra[k].At) >= i+n })
+	return c.extra[lo:hi]
 }
 
 // Segment ops. Refs segments execute a run of references from the
-// columns; the rest replay the rare memory-management calls between
-// runs in their recorded order.
+// columns; the rest replay the other calls between runs in their
+// recorded order: memory management, and a Step that no reference of
+// its run precedes.
 const (
 	opRefs = iota
 	opStep
@@ -78,20 +78,20 @@ const (
 	opAllocAligned
 )
 
-// segment is one step of the compiled program.
+// segment is one step of the compiled program, 24 bytes.
 type segment struct {
-	op     uint8
-	lo, hi int    // refs[lo:hi) for opRefs
-	a, b   uint64 // operands for control ops
-	name   string // precomputed region name for alloc ops
+	a, b uint64 // refs [a, b) for opRefs; the call's operands otherwise
+	op   uint8
+	name uint32 // alloc ops: index into Program.names
 }
 
 // Program is a compiled trace, immutable once built. A Program may be
 // shared by any number of Engines; each Engine owns the mutable replay
-// state (the quantum buffer).
+// state (the gather buffer).
 type Program struct {
-	chunks []*chunk
+	chunks []chunk
 	segs   []segment
+	names  []string // precomputed region names of the alloc ops
 	nrefs  int
 
 	// SbrkSuper mirrors the recorded workload's sbrk mode, so replayed
@@ -108,15 +108,36 @@ func (p *Program) Refs() int { return p.nrefs }
 // Segments returns the number of program steps (ref runs + control ops).
 func (p *Program) Segments() int { return len(p.segs) }
 
-// Bytes returns the memory the program's tables hold: the capacity of
-// every column and of the segment list.
-func (p *Program) Bytes() int {
-	n := bytesOf(p.segs) + bytesOf(p.chunks)
-	for _, c := range p.chunks {
-		n += bytesOf(c.vpn) + bytesOf(c.off) + bytesOf(c.size) + bytesOf(c.step) +
-			bytesOf(c.store)
+// Layout is a program's memory, split by table. Its byte counts add up
+// to Program.Bytes.
+type Layout struct {
+	Segments int // program steps (ref runs + control ops)
+	Columns  int // bytes: page indexes, offsets, code bytes, store bitmaps
+	Pages    int // bytes: the chunks' page dictionaries
+	Extra    int // bytes: the chunks' step overflow tables
+	SegBytes int // bytes: the segment list and the region names
+}
+
+// Layout returns the capacity of every table the program holds.
+func (p *Program) Layout() Layout {
+	l := Layout{Segments: len(p.segs), Columns: bytesOf(p.chunks),
+		SegBytes: bytesOf(p.segs) + bytesOf(p.names)}
+	for _, n := range p.names {
+		l.SegBytes += len(n)
 	}
-	return n
+	for i := range p.chunks {
+		c := &p.chunks[i]
+		l.Columns += bytesOf(c.page) + bytesOf(c.off) + bytesOf(c.code) + bytesOf(c.store)
+		l.Pages += bytesOf(c.pages)
+		l.Extra += bytesOf(c.extra)
+	}
+	return l
+}
+
+// Bytes returns the memory the program's tables hold.
+func (p *Program) Bytes() int {
+	l := p.Layout()
+	return l.Columns + l.Pages + l.Extra + l.SegBytes
 }
 
 // bytesOf returns the bytes s's backing array holds.
@@ -125,65 +146,126 @@ func bytesOf[T any](s []T) int {
 	return cap(s) * int(unsafe.Sizeof(z))
 }
 
-// builder accumulates a Program.
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// dictSlots sizes the builder's direct-mapped cache in front of the open
+// chunk's page dictionary, keyed by the low bits of the page number. A
+// page evicted from it and referenced again gets a second dictionary
+// entry; at most one entry per reference keeps every index in 16 bits.
+const dictSlots = 4096
+
+// dictSlot maps a page number to its dictionary index plus one (0 =
+// empty).
+type dictSlot struct{ vpn, idx uint32 }
+
+// builder accumulates a Program. The open chunk lives in full-size
+// scratch columns, sealed into an exact-size chunk when it fills or the
+// program ends.
 type builder struct {
 	p       *Program
-	cur     *chunk // chunk being filled (== last of p.chunks)
-	openLo  int    // start of the open refs run, -1 when none
-	regions int    // alloc counter for precomputed names
+	openLo  int  // start of the open refs run, -1 when none
+	stepped bool // the run's last reference has a step already
+
+	n     int // references in the open chunk
+	page  [chunkRefs]uint16
+	off   [chunkRefs]uint16
+	code  [chunkRefs]uint8
+	store [chunkRefs / 64]uint64
+	pages []uint32
+	extra []workload.ExtraStep
+	dict  [dictSlots]dictSlot
 }
 
 func newBuilder() *builder {
 	return &builder{p: &Program{}, openLo: -1}
 }
 
-// ref appends one memory reference, opening a refs segment if needed.
-func (b *builder) ref(va arch.VAddr, size uint8, isStore bool) {
+// ref appends one memory reference of size bytes (1 to 8), opening a
+// refs segment if needed.
+func (b *builder) ref(va arch.VAddr, size int, isStore bool) {
+	if size < 1 || size > 8 {
+		panic(fmt.Sprintf("replay: access size %d", size))
+	}
+	if b.n == chunkRefs {
+		b.seal()
+	}
 	if b.openLo < 0 {
 		b.openLo = b.p.nrefs
 	}
-	i := b.p.nrefs & chunkMask
-	if i == 0 {
-		b.cur = newChunk()
-		b.p.chunks = append(b.p.chunks, b.cur)
+	i := b.n
+	vpn := uint32(uint64(va) >> arch.PageShift)
+	d := &b.dict[vpn&(dictSlots-1)]
+	if d.idx == 0 || d.vpn != vpn {
+		b.pages = append(b.pages, vpn)
+		d.vpn, d.idx = vpn, uint32(len(b.pages))
 	}
-	c := b.cur
-	c.vpn = append(c.vpn, uint32(uint64(va)>>arch.PageShift))
-	c.off = append(c.off, uint16(uint64(va)&arch.PageMask))
-	c.size = append(c.size, size)
-	c.step = append(c.step, 0)
+	b.page[i] = uint16(d.idx - 1)
+	b.off[i] = uint16(uint64(va) & arch.PageMask)
+	b.code[i] = workload.PackCode(size, 0)
 	if isStore {
-		c.store[i>>6] |= 1 << (i & 63)
+		b.store[i>>6] |= 1 << (i & 63)
 	}
+	b.n++
 	b.p.nrefs++
+	b.stepped = false
 }
 
-// step folds n instructions into the last ref of the open run when that
-// is exact (the ref has no step yet and n fits), and emits a standalone
-// step segment otherwise. Folding Load;Step into one Ref is precisely
-// the Streamer contract — a Stream of refs is indistinguishable from
-// each Load/Store followed by its Step — so replayed counters cannot
-// drift.
+// step attaches n instructions to the last reference of the open run:
+// the first step, when it fits, into the reference's code byte, and any
+// other into the chunk's overflow table, so every recorded Step call
+// stays a call of its own (the per-reference path issues each apart;
+// see RefCols.Issue). Folding Load;Step into one reference is precisely
+// the Streamer contract, so replayed counters cannot drift. A step with
+// no reference before it in its run, or too long for the table, becomes
+// a segment.
 func (b *builder) step(n uint64) {
 	if n == 0 {
 		return
 	}
-	if b.openLo >= 0 && b.p.nrefs > b.openLo && n <= math.MaxUint32 {
-		c := b.p.chunks[len(b.p.chunks)-1]
-		last := len(c.step) - 1
-		if c.step[last] == 0 {
-			c.step[last] = uint32(n)
-			return
+	if b.openLo >= 0 && n <= math.MaxUint32 {
+		i := b.n - 1
+		if !b.stepped && n <= workload.MaxCodeStep {
+			b.code[i] = workload.PackCode(workload.CodeSize(b.code[i]), uint32(n))
+		} else {
+			b.extra = append(b.extra, workload.ExtraStep{At: uint32(i), N: uint32(n)})
 		}
+		b.stepped = true
+		return
 	}
 	b.closeRun()
 	b.p.segs = append(b.p.segs, segment{op: opStep, a: n})
 }
 
+// seal copies the open chunk out at exact size and empties the scratch.
+func (b *builder) seal() {
+	if b.n == 0 {
+		return
+	}
+	n := b.n
+	b.p.chunks = append(b.p.chunks, chunk{
+		page:  exact(b.page[:n]),
+		off:   exact(b.off[:n]),
+		code:  exact(b.code[:n]),
+		store: exact(b.store[:(n+63)/64]),
+		pages: exact(b.pages),
+		extra: exact(b.extra),
+	})
+	b.n = 0
+	b.pages, b.extra = b.pages[:0], b.extra[:0]
+	clear(b.store[:])
+	clear(b.dict[:])
+}
+
 // closeRun seals the open refs segment, if any.
 func (b *builder) closeRun() {
 	if b.openLo >= 0 {
-		b.p.segs = append(b.p.segs, segment{op: opRefs, lo: b.openLo, hi: b.p.nrefs})
+		b.p.segs = append(b.p.segs, segment{op: opRefs, a: uint64(b.openLo), b: uint64(b.p.nrefs)})
 		b.openLo = -1
 	}
 }
@@ -193,10 +275,10 @@ func (b *builder) control(op uint8, a, b2 uint64) {
 	b.closeRun()
 	seg := segment{op: op, a: a, b: b2}
 	if op == opAllocRegion || op == opAllocAligned {
-		b.regions++
 		// Region names are labels only (bases assign sequentially), so
 		// replay timing is independent of them.
-		seg.name = fmt.Sprintf("traced%d", b.regions)
+		seg.name = uint32(len(b.p.names))
+		b.p.names = append(b.p.names, fmt.Sprintf("traced%d", len(b.p.names)+1))
 	}
 	b.p.segs = append(b.p.segs, seg)
 }
@@ -204,10 +286,11 @@ func (b *builder) control(op uint8, a, b2 uint64) {
 // add compiles one trace record.
 func (b *builder) add(rec trace.Record) error {
 	switch rec.Kind {
-	case trace.KindLoad:
-		b.ref(arch.VAddr(rec.A), rec.Size, false)
-	case trace.KindStore:
-		b.ref(arch.VAddr(rec.A), rec.Size, true)
+	case trace.KindLoad, trace.KindStore:
+		if rec.Size < 1 || rec.Size > 8 {
+			return fmt.Errorf("%w: access size %d", trace.ErrBadRecord, rec.Size)
+		}
+		b.ref(arch.VAddr(rec.A), int(rec.Size), rec.Kind == trace.KindStore)
 	case trace.KindStep:
 		b.step(rec.A)
 	case trace.KindSbrk:
@@ -224,9 +307,11 @@ func (b *builder) add(rec trace.Record) error {
 	return nil
 }
 
-// finish seals the program and returns it.
+// finish seals the program at exact size and returns it.
 func (b *builder) finish() *Program {
 	b.closeRun()
+	b.seal()
+	b.p.chunks, b.p.segs, b.p.names = exact(b.p.chunks), exact(b.p.segs), exact(b.p.names)
 	return b.p
 }
 
@@ -269,19 +354,19 @@ func Load(r io.Reader) (*Program, error) {
 }
 
 // Engine replays a compiled Program as a workload. It owns one reusable
-// quantum buffer, so replaying allocates nothing in steady state; an
+// gather buffer, so replaying allocates nothing in steady state; an
 // Engine is not safe for concurrent Run calls (build one per goroutine
 // over the shared Program).
 type Engine struct {
 	p   *Program
-	buf []workload.Ref
+	vpn []uint32 // one span's page numbers, gathered from a dictionary
 }
 
 var _ workload.Workload = (*Engine)(nil)
 
 // NewEngine returns an engine over p.
 func NewEngine(p *Program) *Engine {
-	return &Engine{p: p, buf: make([]workload.Ref, Quantum)}
+	return &Engine{p: p, vpn: make([]uint32, span)}
 }
 
 // Name identifies the replayed workload: the recorded workload's name,
@@ -296,34 +381,15 @@ func (e *Engine) Name() string {
 // SbrkSuperpages reports the recorded workload's sbrk mode.
 func (e *Engine) SbrkSuperpages() bool { return e.p.SbrkSuper }
 
-// Run replays the program against env. Reference runs are materialized
-// quantum-by-quantum from the columns into the engine's buffer and
-// handed to the environment's Stream — for the simulated CPU that is
-// one concrete method call per quantum and zero interface dispatch per
-// access. Environments without Streamer fall back to per-ref delivery.
+// Run replays the program against env. Reference runs go out as column
+// spans through workload.DeliverCols — for the simulated CPU, one
+// concrete method call per span and zero interface dispatch per access;
+// environments without ColStreamer get every call one at a time.
 func (e *Engine) Run(env workload.Env) {
-	cs, _ := env.(workload.ColStreamer)
-	st, _ := env.(workload.Streamer)
 	for _, seg := range e.p.segs {
 		switch seg.op {
 		case opRefs:
-			if cs != nil {
-				e.runCols(cs, seg.lo, seg.hi)
-				continue
-			}
-			for lo := seg.lo; lo < seg.hi; {
-				n := seg.hi - lo
-				if n > Quantum {
-					n = Quantum
-				}
-				e.fill(lo, n)
-				if st != nil {
-					st.Stream(e.buf[:n])
-				} else {
-					workload.Deliver(env, e.buf[:n])
-				}
-				lo += n
-			}
+			e.runCols(env, int(seg.a), int(seg.b))
 		case opStep:
 			for rest := seg.a; rest > 0; {
 				n := rest
@@ -338,61 +404,38 @@ func (e *Engine) Run(env workload.Env) {
 		case opRemap:
 			env.Remap(arch.VAddr(seg.a), seg.b)
 		case opAllocRegion:
-			env.AllocRegion(seg.name, seg.a)
+			env.AllocRegion(e.p.names[seg.name], seg.a)
 		case opAllocAligned:
-			env.AllocAligned(seg.name, seg.a, seg.b>>32, seg.b&0xFFFFFFFF)
+			env.AllocAligned(e.p.names[seg.name], seg.a, seg.b>>32, seg.b&0xFFFFFFFF)
 		default:
 			panic(fmt.Sprintf("replay: unknown segment op %d", seg.op))
 		}
 	}
 }
 
-// runCols hands refs [lo, hi) to a column-consuming environment in
-// chunk-sized spans: no materialization at all — the environment reads
-// the compiled columns in place, one call per up-to-64K-ref span.
-func (e *Engine) runCols(cs workload.ColStreamer, lo, hi int) {
+// runCols hands refs [lo, hi) to env in spans of at most span refs
+// within one chunk. Only the page numbers are decoded, from the chunk's
+// dictionary into the engine's buffer; every other column is passed in
+// place.
+func (e *Engine) runCols(env workload.Env, lo, hi int) {
 	for lo < hi {
-		c := e.p.chunks[lo>>chunkShift]
+		c := &e.p.chunks[lo>>chunkShift]
 		i := lo & chunkMask
-		run := min(chunkRefs-i, hi-lo)
-		cs.StreamCols(workload.RefCols{
-			VPN:      c.vpn[i : i+run],
-			Off:      c.off[i : i+run],
-			Size:     c.size[i : i+run],
-			Step:     c.step[i : i+run],
+		n := min(chunkRefs-i, hi-lo, span)
+		vpn, pages := e.vpn[:n], c.pages
+		for k, x := range c.page[i : i+n] {
+			vpn[k] = pages[x]
+		}
+		workload.DeliverCols(env, workload.RefCols{
+			VPN:      vpn,
+			Off:      c.off[i : i+n],
+			Code:     c.code[i : i+n],
+			Extra:    c.extras(i, n),
 			Store:    c.store,
 			Bit0:     i,
 			StoreVal: storeFill,
 		})
-		lo += run
-	}
-}
-
-// fill materializes refs [lo, lo+n) from the columns into e.buf. The
-// inner loops run within single chunks so the column bases are hoisted
-// and every access is sequential.
-func (e *Engine) fill(lo, n int) {
-	buf := e.buf[:n]
-	filled := 0
-	for filled < n {
-		c := e.p.chunks[(lo+filled)>>chunkShift]
-		i := (lo + filled) & chunkMask
-		run := chunkRefs - i
-		if run > n-filled {
-			run = n - filled
-		}
-		vpn, off, size, step := c.vpn[i:i+run], c.off[i:i+run], c.size[i:i+run], c.step[i:i+run]
-		for k := 0; k < run; k++ {
-			bit := i + k
-			buf[filled+k] = workload.Ref{
-				VA:    arch.VAddr(uint64(vpn[k])<<arch.PageShift | uint64(off[k])),
-				Val:   storeFill,
-				Size:  size[k],
-				Store: c.store[bit>>6]&(1<<(bit&63)) != 0,
-				Step:  step[k],
-			}
-		}
-		filled += run
+		lo += n
 	}
 }
 

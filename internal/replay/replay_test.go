@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -193,10 +194,9 @@ func TestReplayBatchedVsExact(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackPaths drives the engine through every delivery path
-// — ColStreamer, Streamer, and plain per-ref Env — against the
-// functional memory environment and checks the functional outcome
-// (reference count) matches.
+// TestEngineFallbackPaths drives the engine through both delivery paths
+// — ColStreamer, and plain per-ref Env — and checks each sees every
+// reference.
 func TestEngineFallbackPaths(t *testing.T) {
 	cfg := sim.Default().WithTLB(64)
 	w, err := exp.MakeWorkload("radix", exp.Small)
@@ -215,9 +215,6 @@ func TestEngineFallbackPaths(t *testing.T) {
 	perRef := refs(&countEnv{})
 	if perRef != uint64(p.Refs()) {
 		t.Fatalf("per-ref delivery saw %d refs, program has %d", perRef, p.Refs())
-	}
-	if n := refs(&streamEnv{countEnv{}}); n != perRef {
-		t.Errorf("Streamer delivery saw %d refs, per-ref saw %d", n, perRef)
 	}
 	if n := refs(&colsEnv{countEnv{}}); n != perRef {
 		t.Errorf("ColStreamer delivery saw %d refs, per-ref saw %d", n, perRef)
@@ -243,30 +240,39 @@ func (e *countEnv) AllocAligned(_ string, n, _, _ uint64) arch.VAddr {
 }
 func (e *countEnv) seen() uint64 { return e.refs }
 
-// streamEnv adds the Streamer batch path.
-type streamEnv struct{ countEnv }
-
-func (e *streamEnv) Stream(refs []workload.Ref) { e.refs += uint64(len(refs)) }
-
 // colsEnv adds the ColStreamer column path.
 type colsEnv struct{ countEnv }
 
 func (e *colsEnv) StreamCols(cols workload.RefCols) { e.refs += uint64(cols.Len()) }
 
-// TestProgramBytes bounds the compiled program's memory per reference
-// by its layout: the columns take 11 bytes + 1 bit per ref, and the
-// bound leaves room for the segment list and the last chunk's unused
-// column capacity.
+// TestProgramBytes bounds each paper workload's compiled program per
+// reference, recorded at small scale on tlb64+mtlb128/2w. The columns
+// take 5 bytes + 1 bit per reference; radix has 3 segments and few
+// pages, so its bound leaves room only for the dictionaries. The others
+// add the step overflow table (compress) and segment lists (vortex and
+// gcc close a run at every sbrk).
 func TestProgramBytes(t *testing.T) {
-	w, err := exp.MakeWorkload("radix", exp.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, p := Record(sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig()), w)
-	perRef := float64(p.Bytes()) / float64(p.Refs())
-	t.Logf("radix small: %d refs, %d bytes, %.2f B/ref", p.Refs(), p.Bytes(), perRef)
-	if perRef > 13 {
-		t.Errorf("compiled program holds %.2f B/ref, want at most 13", perRef)
+	rec := sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig())
+	for _, tc := range []struct {
+		name  string
+		bound float64
+	}{
+		{"compress", 9},
+		{"vortex", 9},
+		{"radix", 5.5},
+		{"em3d", 9},
+		{"gcc", 9},
+	} {
+		_, p := Record(rec, smallWorkload(t, tc.name))
+		l := p.Layout()
+		if sum := l.Columns + l.Pages + l.Extra + l.SegBytes; sum != p.Bytes() {
+			t.Errorf("%s: layout sums to %d bytes, Bytes reports %d", tc.name, sum, p.Bytes())
+		}
+		perRef := float64(p.Bytes()) / float64(p.Refs())
+		t.Logf("%s small: %d refs, %d segments, %d bytes, %.2f B/ref", tc.name, p.Refs(), p.Segments(), p.Bytes(), perRef)
+		if perRef > tc.bound {
+			t.Errorf("%s: compiled program holds %.2f B/ref, want at most %.1f", tc.name, perRef, tc.bound)
+		}
 	}
 }
 
@@ -357,43 +363,56 @@ func TestReplayMatchesLiveUnderPressure(t *testing.T) {
 		})
 	}
 
-	t.Run("multiprogrammed/radix", func(t *testing.T) {
-		_, p := Record(rec, smallWorkload(t, "radix"))
-		type proc struct {
-			Cycles, TLBMiss stats.Cycles
-			Switches        uint64
-		}
-		type machine struct {
-			Total     stats.Cycles
-			Breakdown stats.Breakdown
-			TLB       stats.HitMiss
-			Cache     stats.HitMiss
-			Procs     []proc
-		}
-		run := func(w1, w2 workload.Workload) machine {
-			ms := sim.NewMulti(rec, []workload.Workload{w1, w2}, 50_000)
-			m := machine{Total: ms.Run(), Breakdown: ms.CPU.Breakdown,
-				TLB: ms.CPU.TLB.Stats, Cache: ms.CPU.Cache.Stats}
-			for _, pr := range ms.Procs {
-				m.Procs = append(m.Procs, proc{pr.Cycles, pr.TLBMissCycles, pr.Switches})
+	// Multiprogramming: two processes time-sliced on one CPU. The
+	// quantum makes every reference and step take the per-reference
+	// path, whose preemption checks sit between calls. Compress issues
+	// Step(2) and then Step(3) after each secondary probe, so a switch
+	// can land between the two: replay must keep them apart. A program
+	// that sums them into one Step still matches at quanta of 30,000
+	// cycles and more, and diverges at 20,000.
+	for _, tc := range []struct {
+		name    string
+		quantum stats.Cycles
+	}{{"radix", 50_000}, {"compress", 20_000}} {
+		name := tc.name
+		t.Run("multiprogrammed/"+name, func(t *testing.T) {
+			_, p := Record(rec, smallWorkload(t, name))
+			type proc struct {
+				Cycles, TLBMiss stats.Cycles
+				Switches        uint64
 			}
-			return m
-		}
-		live := run(smallWorkload(t, "radix"), smallWorkload(t, "radix"))
-		rep := run(NewEngine(p), NewEngine(p))
-		if !reflect.DeepEqual(rep, live) {
-			t.Errorf("replay diverged from live:\nlive:   %+v\nreplay: %+v", live, rep)
-		}
-		if live.Procs[0].Switches < 2 {
-			t.Errorf("the processes were switched in %d times", live.Procs[0].Switches)
-		}
-	})
+			type machine struct {
+				Total     stats.Cycles
+				Breakdown stats.Breakdown
+				TLB       stats.HitMiss
+				Cache     stats.HitMiss
+				Procs     []proc
+			}
+			run := func(w1, w2 workload.Workload) machine {
+				ms := sim.NewMulti(rec, []workload.Workload{w1, w2}, tc.quantum)
+				m := machine{Total: ms.Run(), Breakdown: ms.CPU.Breakdown,
+					TLB: ms.CPU.TLB.Stats, Cache: ms.CPU.Cache.Stats}
+				for _, pr := range ms.Procs {
+					m.Procs = append(m.Procs, proc{pr.Cycles, pr.TLBMissCycles, pr.Switches})
+				}
+				return m
+			}
+			live := run(smallWorkload(t, name), smallWorkload(t, name))
+			rep := run(NewEngine(p), NewEngine(p))
+			if !reflect.DeepEqual(rep, live) {
+				t.Errorf("replay diverged from live:\nlive:   %+v\nreplay: %+v", live, rep)
+			}
+			if live.Procs[0].Switches < 2 {
+				t.Errorf("the processes were switched in %d times", live.Procs[0].Switches)
+			}
+		})
+	}
 }
 
 // TestEngineSteadyStateAllocs proves replay allocates nothing per run
 // in steady state: after the first Run (which warms nothing engine-side
-// — the quantum buffer is preallocated), repeated replays against a
-// reusable environment do not allocate.
+// — the gather buffer is preallocated), repeated replays against a
+// reusable environment, on either delivery path, do not allocate.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	cfg := sim.Default().WithTLB(64)
 	w, err := exp.MakeWorkload("em3d", exp.Small)
@@ -402,16 +421,134 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	_, p := Record(cfg, w)
 	eng := NewEngine(p)
-	env := &streamEnv{}
-	eng.Run(env) // warm
-	if avg := testing.AllocsPerRun(3, func() { eng.Run(env) }); avg != 0 {
-		t.Errorf("steady-state replay allocates %.1f objects per run, want 0", avg)
+	for _, env := range []workload.Env{&countEnv{}, &colsEnv{}} {
+		eng.Run(env) // warm
+		if avg := testing.AllocsPerRun(3, func() { eng.Run(env) }); avg != 0 {
+			t.Errorf("%T: steady-state replay allocates %.1f objects per run, want 0", env, avg)
+		}
 	}
 }
 
-// TestCompileRejectsBadRecord pins Compile's error path.
+// TestProgramKeepsEveryCall compiles a record stream built to hit the
+// layout's edges and replays it into an environment that records every
+// call: the calls must be the records, one for one. The stream covers
+// every access size, a step before any reference, the longest step a
+// code byte holds and the shortest it does not, steps past MaxInt32,
+// two and three steps after one reference (the first too long for the
+// code byte in one case), every kind of control call, and two chunks
+// of references that alternate between pages colliding in the
+// builder's dictionary cache, so a chunk's dictionary fills all 64K
+// indexes, with several steps on the last reference of one chunk and
+// the first of the next.
+func TestProgramKeepsEveryCall(t *testing.T) {
+	const page = uint64(arch.PageSize)
+	recs := []trace.Record{
+		{Kind: trace.KindAllocRegion, A: 1 << 20},
+		{Kind: trace.KindStep, A: 7},
+		{Kind: trace.KindAllocAligned, A: 1 << 20, B: 1<<32 | 4096},
+	}
+	steps := map[int][]uint64{
+		1: {31}, 2: {32}, 3: {17250}, 4: {1<<31 + 5}, 5: {2, 3}, 6: {40, 5}, 7: {5, 40, 7},
+		chunkRefs - 1: {4, 1 << 20}, chunkRefs: {9, 9}, chunkRefs + 1: {6},
+	}
+	for i := 0; i < 2*chunkRefs+10; i++ {
+		kind := trace.KindLoad
+		if i%3 == 0 {
+			kind = trace.KindStore
+		}
+		// Pages dictSlots apart share a slot of the dictionary cache.
+		va := (1+uint64(i%2)*dictSlots)*page + uint64(i*8)%page
+		recs = append(recs, trace.Record{Kind: kind, Size: uint8(1 + i%8), A: va &^ 7})
+		for _, n := range steps[i] {
+			recs = append(recs, trace.Record{Kind: trace.KindStep, A: n})
+		}
+		if i == 100 {
+			recs = append(recs,
+				trace.Record{Kind: trace.KindSbrk, A: 8192},
+				trace.Record{Kind: trace.KindStep, A: 3},
+				trace.Record{Kind: trace.KindRemap, A: 1 << 22, B: 1 << 22})
+		}
+	}
+	p, err := Compile(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.chunks[0].pages); n != chunkRefs {
+		t.Errorf("first chunk's dictionary holds %d pages, want one per reference (%d)", n, chunkRefs)
+	}
+	for _, env := range []interface {
+		workload.Env
+		calls() []trace.Record
+	}{&callEnv{}, &callColsEnv{t: t}} {
+		NewEngine(p).Run(env)
+		if got := env.calls(); !reflect.DeepEqual(got, recs) {
+			i := 0
+			for i < min(len(got), len(recs)) && got[i] == recs[i] {
+				i++
+			}
+			t.Errorf("%T: replay made %d calls for %d records; first difference at %d", env, len(got), len(recs), i)
+		}
+	}
+}
+
+// callEnv records every call as the trace record it replays.
+type callEnv struct{ recs []trace.Record }
+
+func (e *callEnv) add(r trace.Record)    { e.recs = append(e.recs, r) }
+func (e *callEnv) calls() []trace.Record { return e.recs }
+func (e *callEnv) Load(va arch.VAddr, size int) uint64 {
+	e.add(trace.Record{Kind: trace.KindLoad, Size: uint8(size), A: uint64(va)})
+	return 0
+}
+func (e *callEnv) Store(va arch.VAddr, size int, _ uint64) {
+	e.add(trace.Record{Kind: trace.KindStore, Size: uint8(size), A: uint64(va)})
+}
+func (e *callEnv) Step(n int) { e.add(trace.Record{Kind: trace.KindStep, A: uint64(n)}) }
+func (e *callEnv) Sbrk(n uint64) arch.VAddr {
+	e.add(trace.Record{Kind: trace.KindSbrk, A: n})
+	return 0
+}
+func (e *callEnv) Remap(base arch.VAddr, size uint64) bool {
+	e.add(trace.Record{Kind: trace.KindRemap, A: uint64(base), B: size})
+	return true
+}
+func (e *callEnv) AllocRegion(_ string, size uint64) arch.VAddr {
+	e.add(trace.Record{Kind: trace.KindAllocRegion, A: size})
+	return 0
+}
+func (e *callEnv) AllocAligned(_ string, size, align, offset uint64) arch.VAddr {
+	e.add(trace.Record{Kind: trace.KindAllocAligned, A: size, B: align<<32 | offset})
+	return 0
+}
+
+// callColsEnv takes the column path, checks each span against the
+// RefCols contract, and records the span's calls as RefCols.Issue makes
+// them.
+type callColsEnv struct {
+	callEnv
+	t *testing.T
+}
+
+func (e *callColsEnv) StreamCols(cols workload.RefCols) {
+	n := cols.Len()
+	if n == 0 || n > span || cols.Bit0+n > chunkRefs || len(cols.Off) != n || len(cols.Code) != n {
+		e.t.Fatalf("span of %d refs at %d, %d offsets, %d codes", n, cols.Bit0, len(cols.Off), len(cols.Code))
+	}
+	for _, x := range cols.Extra {
+		if int(x.At) < cols.Bit0 || int(x.At) >= cols.Bit0+n {
+			e.t.Fatalf("extra step at %d outside the span [%d, %d)", x.At, cols.Bit0, cols.Bit0+n)
+		}
+	}
+	cols.Issue(e)
+}
+
+// TestCompileRejectsBadRecord pins Compile's error path: an unknown
+// kind, and an access size no environment accepts and a code byte
+// cannot hold.
 func TestCompileRejectsBadRecord(t *testing.T) {
-	if _, err := Compile([]trace.Record{{Kind: 99}}); err == nil {
-		t.Fatal("Compile accepted an unknown record kind")
+	for _, rec := range []trace.Record{{Kind: 99}, {Kind: trace.KindLoad, Size: 0}, {Kind: trace.KindStore, Size: 9}} {
+		if _, err := Compile([]trace.Record{rec}); !errors.Is(err, trace.ErrBadRecord) {
+			t.Errorf("Compile(%+v) returned %v, want ErrBadRecord", rec, err)
+		}
 	}
 }

@@ -366,15 +366,10 @@ func (j *Job) cellDone(ev runner.CellEvent) {
 // so a streamer never observes a terminal state without its final
 // event.
 func (j *Job) finish(res *JobResult, err error) {
-	ev := Event{JobID: j.id}
-	var state JobState
-	switch {
-	case err == nil:
-		state, ev.Type = StateDone, "done"
-	case isCancellation(err):
-		state, ev.Type, ev.Error = StateCanceled, "canceled", err.Error()
-	default:
-		state, ev.Type, ev.Error = StateFailed, "failed", err.Error()
+	state := terminalState(err)
+	ev := Event{JobID: j.id, Type: string(state)}
+	if err != nil {
+		ev.Error = err.Error()
 	}
 	// The span ends before the terminal state and event become visible:
 	// a client that sees them may read the trace at once, and must find
@@ -395,6 +390,18 @@ func (j *Job) finish(res *JobResult, err error) {
 	j.wake = make(chan struct{})
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// terminalState is the state a job ends in when its run returns err.
+func terminalState(err error) JobState {
+	switch {
+	case err == nil:
+		return StateDone
+	case isCancellation(err):
+		return StateCanceled
+	default:
+		return StateFailed
+	}
 }
 
 // isCancellation reports whether err stems from a canceled or expired

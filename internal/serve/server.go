@@ -435,14 +435,25 @@ func (s *Server) runJob(j *Job) {
 	wait := start.Sub(j.submitted)
 	s.mAdmitWait.Observe(uint64(wait.Microseconds()))
 	s.tracer.RecordSpan("admission", j.span.Context(), j.submitted, wait)
-	defer func() {
+	// end publishes the job's metrics before its terminal state: a
+	// client woken by Done may read /metrics at once, and must find the
+	// job counted there.
+	end := func(res *JobResult, err error) {
+		switch terminalState(err) {
+		case StateDone:
+			s.mDone.Inc()
+		case StateCanceled:
+			s.mCanceled.Inc()
+		default:
+			s.mFailed.Inc()
+		}
 		s.mJobWall.Observe(uint64(time.Since(start).Microseconds()))
 		s.inflight.Add(-1)
-	}()
+		j.finish(res, err)
+	}
 
 	if j.canceledEarly() {
-		j.finish(nil, context.Canceled)
-		s.mCanceled.Inc()
+		end(nil, context.Canceled)
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -456,15 +467,7 @@ func (s *Server) runJob(j *Job) {
 	run := s.tracer.StartSpan("run", j.span.Context())
 	res, err := s.execute(obs.ContextWithSpan(ctx, run), j)
 	run.End()
-	j.finish(res, err)
-	switch j.State() {
-	case StateDone:
-		s.mDone.Inc()
-	case StateCanceled:
-		s.mCanceled.Inc()
-	default:
-		s.mFailed.Inc()
-	}
+	end(res, err)
 }
 
 // execute runs the job's cells or experiments on a fresh pool layered

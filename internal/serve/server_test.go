@@ -605,6 +605,36 @@ func TestExperimentsAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestMetricsPublishedBeforeDone: a client woken by a job's Done must
+// find the job in the registry — counted as done, its wall time
+// observed and no longer in flight.
+func TestMetricsPublishedBeforeDone(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	id := submitOK(t, ts, cheapSpec(64))
+	j, ok := s.Job(id)
+	if !ok {
+		t.Fatalf("job %s not registered", id)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s never reached a terminal state", id)
+	}
+	got := map[string]float64{}
+	for _, m := range s.Registry().Dump() {
+		got[m.Name] = m.Value
+	}
+	for name, want := range map[string]float64{
+		"serve.job_wall_us":   1, // a histogram's value is its count
+		"serve.jobs_done":     1,
+		"serve.jobs_inflight": 0,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v when Done closed, want %v", name, got[name], want)
+		}
+	}
+}
+
 func TestUnknownJob404(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events"} {
