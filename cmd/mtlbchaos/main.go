@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cellsN  = fs.Int("cells", 0, "max distinct cells to exercise (0 = all registered)")
 		plans   = fs.Int("plans", 3, "fault plans per cell")
 		seed    = fs.Uint64("seed", 1, "base seed; every plan seed derives from it")
-		scale   = fs.String("scale", "small", "workload scale (small, medium, full)")
+		scale   = fs.String("scale", "small", "workload scale: paper or small")
 		verbose = fs.Bool("v", false, "log every run, not just failures")
 		plant   = fs.Bool("plant", false, "plant a deliberate violation (self-test: the run must FAIL)")
 		trace   = fs.String("trace", "", "write one span per run to this JSON-lines file, with every injected fault as a span event")

@@ -27,22 +27,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"shadowtlb/internal/cluster"
 	"shadowtlb/internal/core"
 	"shadowtlb/internal/invariant"
 	"shadowtlb/internal/obs"
@@ -76,9 +72,6 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 		perfetto = fs.String("trace-perfetto", "", "write retained job spans as a Perfetto trace at shutdown")
 		store    = fs.String("store", "", "persistent result store directory; repeat configurations survive restarts (empty = memory only)")
 		storeMB  = fs.Int64("store-max-mb", 0, "persistent store size bound in MiB (0 = default)")
-		nodeID   = fs.String("node-id", "", "stable cluster identity for metrics, traces and ring placement (default: the bound listen address)")
-		register = fs.String("register", "", "mtlbgate coordinator base URL to join; the daemon heartbeats its registration (requires -advertise)")
-		adv      = fs.String("advertise", "", "base URL peers reach this daemon at, e.g. http://10.0.0.7:8047 (required with -register)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,16 +80,6 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 		_, err := core.NewTranslator(*scheme, core.MTLBConfig{}, core.TranslatorDeps{})
 		fmt.Fprintf(stderr, "mtlbd: %v\n", err)
 		return 2
-	}
-	if (*register == "") != (*adv == "") {
-		fmt.Fprintln(stderr, "mtlbd: -register and -advertise must be set together")
-		return 2
-	}
-	if *adv != "" {
-		if u, err := url.Parse(*adv); err != nil || u.Scheme == "" || u.Host == "" {
-			fmt.Fprintf(stderr, "mtlbd: -advertise %q is not an absolute URL\n", *adv)
-			return 2
-		}
 	}
 	if *chk {
 		invariant.EnableGlobalChecks()
@@ -110,16 +93,10 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 			return 1
 		}
 	}
-	// Bind before serve.New so a default node id can be derived from the
-	// actual bound address (":0" resolves to a concrete port).
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintf(stderr, "mtlbd: %v\n", err)
 		return 1
-	}
-	id := *nodeID
-	if id == "" {
-		id = ln.Addr().String()
 	}
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
@@ -130,7 +107,6 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 		DefaultScheme:  *scheme,
 		StoreDir:       *store,
 		StoreMaxBytes:  *storeMB << 20,
-		NodeID:         id,
 	})
 
 	// Tracing is opt-in: without either flag the daemon runs with a nil
@@ -156,36 +132,19 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "mtlbd: node %s listening on %s (%d workers, queue %d, cache %d)\n",
-		id, ln.Addr(), srv.Workers(), *queue, *cache)
+	fmt.Fprintf(stdout, "mtlbd: listening on %s (%d workers, queue %d, cache %d)\n",
+		ln.Addr(), srv.Workers(), *queue, *cache)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
 
-	// Cluster mode: keep a registration alive at the coordinator. The
-	// heartbeat doubles as liveness — a daemon that stops beating expires
-	// off the ring after the coordinator's TTL.
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	if *register != "" {
-		go heartbeat(*register, id, *adv, hbStop, hbDone, stderr)
-	} else {
-		close(hbDone)
-	}
-
 	select {
 	case err := <-serveErr:
-		close(hbStop)
-		<-hbDone
 		fmt.Fprintf(stderr, "mtlbd: %v\n", err)
 		return 1
 	case s := <-sig:
 		fmt.Fprintf(stdout, "mtlbd: %v: draining (in-flight jobs run to completion)\n", s)
 	}
-	// Stop heartbeating before the drain so the coordinator expires this
-	// node instead of routing new cells at a closing daemon.
-	close(hbStop)
-	<-hbDone
 
 	// Drain first so status/events stay reachable while jobs finish,
 	// then close the listener.
@@ -220,51 +179,6 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 	}
 	fmt.Fprintln(stdout, "mtlbd: drained, bye")
 	return code
-}
-
-// heartbeat re-registers this daemon at the coordinator until stop
-// closes. The re-registration interval follows the coordinator's
-// advertised TTL (a third of it, so two beats can be lost before
-// expiry); failures warn once and keep retrying — a coordinator restart
-// must not take the fleet down with it.
-func heartbeat(register, id, advertise string, stop <-chan struct{}, done chan<- struct{}, stderr io.Writer) {
-	defer close(done)
-	body, _ := json.Marshal(cluster.RegisterRequest{NodeID: id, URL: advertise})
-	endpoint := register + "/v1/cluster/register"
-	interval := 5 * time.Second
-	warned := false
-	for {
-		req, err := http.NewRequest(http.MethodPost, endpoint, bytes.NewReader(body))
-		if err != nil {
-			fmt.Fprintf(stderr, "mtlbd: register: %v\n", err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			if resp.StatusCode == http.StatusOK {
-				if ack, derr := cluster.DecodeRegisterResponse(resp.Body); derr == nil && ack.TTLMS > 0 {
-					if iv := time.Duration(ack.TTLMS) * time.Millisecond / 3; iv >= time.Second {
-						interval = iv
-					}
-				}
-				warned = false
-			} else if !warned {
-				fmt.Fprintf(stderr, "mtlbd: register: %s returned %s\n", endpoint, resp.Status)
-				warned = true
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort drain for reuse
-			resp.Body.Close()
-		} else if !warned {
-			fmt.Fprintf(stderr, "mtlbd: register: %v (retrying)\n", err)
-			warned = true
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(interval):
-		}
-	}
 }
 
 // writePerfetto dumps the tracer's retained spans as a Perfetto trace.

@@ -3,15 +3,13 @@ package main
 import (
 	"context"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"shadowtlb/internal/cluster"
 	"shadowtlb/internal/serve"
 	"shadowtlb/internal/serve/client"
 )
@@ -114,56 +112,39 @@ func TestDaemonDrainsInFlightJobBeforeExit(t *testing.T) {
 	}
 }
 
+// TestDaemonBadFlags: a malformed command line exits 2 and a
+// deployment the daemon cannot stand up (an unusable store, an
+// unparsable listen address) exits 1, each before serving anything and
+// with stderr naming the problem.
 func TestDaemonBadFlags(t *testing.T) {
-	sig := make(chan os.Signal, 1)
-	var out, errb strings.Builder
-	if code := run([]string{"-no-such-flag"}, sig, nil, &out, &errb); code != 2 {
-		t.Fatalf("bad flag exit %d", code)
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// -register without -advertise is a misconfiguration, not a warning.
-	if code := run([]string{"-register", "http://gate:1"}, sig, nil, &out, &errb); code != 2 {
-		t.Fatalf("-register without -advertise exit %d", code)
-	}
-}
-
-func TestDaemonHeartbeatsRegistration(t *testing.T) {
-	beats := make(chan cluster.RegisterRequest, 16)
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req, err := cluster.DecodeRegisterRequest(r.Body)
-		if err != nil {
-			t.Errorf("malformed heartbeat: %v", err)
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		beats <- req
-		w.Header().Set("Content-Type", "application/json")
-		// A short TTL asks the daemon to beat every ~1s (TTL/3 floor).
-		w.Write([]byte(`{"status":"ok","ttl_ms":3000}`)) //nolint:errcheck // test stub
-	}))
-	defer coord.Close()
-
-	_, sig, code := startDaemon(t,
-		"-node-id", "hb1", "-register", coord.URL, "-advertise", "http://127.0.0.1:9999")
-
-	// First beat arrives immediately; a second proves the loop re-arms.
-	for i := 0; i < 2; i++ {
-		select {
-		case b := <-beats:
-			if b.NodeID != "hb1" || b.URL != "http://127.0.0.1:9999" {
-				t.Fatalf("heartbeat %+v", b)
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"unknown flag", []string{"-no-such-flag"}, 2, "no-such-flag"},
+		{"unknown scheme", []string{"-scheme", "nope"}, 2, "nope"},
+		{"malformed duration", []string{"-timeout", "soon"}, 2, "soon"},
+		{"store is a file", []string{"-store", notDir}, 1, notDir},
+		{"bad listen address", []string{"-listen", "127.0.0.1:notaport"}, 1, "notaport"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sig := make(chan os.Signal, 1)
+			var out, errb strings.Builder
+			if code := run(tc.args, sig, nil, &out, &errb); code != tc.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, errb.String())
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("heartbeat %d never arrived", i+1)
-		}
-	}
-
-	sig <- syscall.SIGTERM
-	select {
-	case exit := <-code:
-		if exit != 0 {
-			t.Fatalf("daemon exited %d", exit)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("daemon did not exit")
+			if !strings.Contains(errb.String(), tc.want) {
+				t.Errorf("stderr does not name %q:\n%s", tc.want, errb.String())
+			}
+			if out.Len() != 0 {
+				t.Errorf("the daemon announced itself:\n%s", out.String())
+			}
+		})
 	}
 }

@@ -125,14 +125,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 0, "in-process daemon simulation workers (0 = GOMAXPROCS)")
 		queue   = fs.Int("queue", 0, "in-process daemon queue capacity (0 = default)")
 		store   = fs.String("store", "", "persistent store directory for the in-process daemon; adds a restart phase measuring disk hits")
-		clstr   = fs.String("cluster", "", "cluster scaling benchmark: comma-separated worker counts, e.g. 1,2,4 (hosts a gate + fleet in-process; ignores -server)")
 		out     = fs.String("o", "", "write the JSON report to this file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *clstr != "" {
-		return runClusterBench(*clstr, *scale, *out, stdout, stderr)
 	}
 	if *store != "" && *server != "" {
 		fmt.Fprintln(stderr, "mtlbload: -store only applies to the in-process daemon; ignoring")

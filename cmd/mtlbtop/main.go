@@ -43,7 +43,6 @@ type snapshot struct {
 	Base    string
 	Err     error // unreachable or undecodable; the row renders the error
 	Ready   bool
-	NodeID  string // from serve.node_info's node_id label ("-" if unset)
 	At      time.Time
 	Scalars map[string]float64          // unlabeled counter/gauge values by name
 	Hists   map[string][]obs.HistBucket // histograms by name (unlabeled)
@@ -136,12 +135,6 @@ func collect(ctx context.Context, hc *http.Client, base string) snapshot {
 	}
 	for _, m := range dump {
 		switch {
-		case m.Name == "serve.node_info":
-			for _, l := range m.Labels {
-				if l.Key == "node_id" {
-					s.NodeID = l.Value
-				}
-			}
 		case m.Name == "serve.cell_wall_by_scheme_us":
 			for _, l := range m.Labels {
 				if l.Key == "scheme" {
@@ -189,11 +182,11 @@ func render(w io.Writer, cur, prev []snapshot) {
 	}
 	fmt.Fprintln(w, ")")
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-28s %-10s %-8s %7s %6s %8s %8s %8s %7s %9s %9s\n",
-		"DAEMON", "NODE", "STATE", "WORKERS", "QUEUE", "INFLIGHT", "DONE", "JOBS/S", "CACHE%", "JOB-P50", "JOB-P99")
+	fmt.Fprintf(w, "%-28s %-8s %7s %6s %8s %8s %8s %7s %9s %9s\n",
+		"DAEMON", "STATE", "WORKERS", "QUEUE", "INFLIGHT", "DONE", "JOBS/S", "CACHE%", "JOB-P50", "JOB-P99")
 	for i, s := range cur {
 		if s.Err != nil {
-			fmt.Fprintf(w, "%-28s %-10s %-8s %s\n", trimBase(s.Base), "-", "DOWN", s.Err)
+			fmt.Fprintf(w, "%-28s %-8s %s\n", trimBase(s.Base), "DOWN", s.Err)
 			continue
 		}
 		state := "ready"
@@ -208,15 +201,8 @@ func render(w io.Writer, cur, prev []snapshot) {
 				rate = fmt.Sprintf("%.1f", d/dt)
 			}
 		}
-		node := s.NodeID
-		if node == "" {
-			node = "-"
-		}
-		if len(node) > 10 {
-			node = node[:9] + "…"
-		}
-		fmt.Fprintf(w, "%-28s %-10s %-8s %7.0f %6.0f %8.0f %8.0f %8s %6.0f%% %9s %9s\n",
-			trimBase(s.Base), node, state,
+		fmt.Fprintf(w, "%-28s %-8s %7.0f %6.0f %8.0f %8.0f %8s %6.0f%% %9s %9s\n",
+			trimBase(s.Base), state,
 			s.Scalars["serve.workers"], s.Scalars["serve.queue_depth"],
 			s.Scalars["serve.jobs_inflight"], s.Scalars["serve.jobs_done"],
 			rate, 100*hitRate(s),

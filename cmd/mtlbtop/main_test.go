@@ -17,7 +17,7 @@ import (
 // that has completed a job, so the dashboard is exercised against the
 // daemon's actual /metrics JSON shape, not a hand-written imitation.
 func TestOnceAgainstLiveDaemon(t *testing.T) {
-	srv := serve.New(serve.Config{Workers: 2, NodeID: "top-w1"})
+	srv := serve.New(serve.Config{Workers: 2})
 	srv.Start()
 	defer srv.Drain(context.Background())
 
@@ -41,7 +41,7 @@ func TestOnceAgainstLiveDaemon(t *testing.T) {
 	if strings.Contains(got, "\x1b[2J") {
 		t.Fatalf("-once must not clear the screen:\n%q", got)
 	}
-	for _, want := range []string{"DAEMON", "NODE", "top-w1", "ready", "JOB-P50", "SCHEME", "mtlb"} {
+	for _, want := range []string{"DAEMON", "ready", "JOB-P50", "SCHEME", "mtlb"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -93,8 +93,6 @@ func TestOnceReportsDrainingAndDown(t *testing.T) {
 // unlabeled metrics land in Scalars/Hists.
 func TestCollectParsesLabeledFamilies(t *testing.T) {
 	dump := []obs.DumpMetric{
-		{Name: "serve.node_info", Kind: "gauge", Value: 1,
-			Labels: []obs.Label{{Key: "node_id", Value: "w7"}}},
 		{Name: "serve.jobs_done", Kind: "counter", Value: 7},
 		{Name: "serve.job_wall_us", Kind: "histogram", Count: 2,
 			Buckets: []obs.HistBucket{{Lo: 512, Hi: 1023, Count: 2}}},
@@ -122,9 +120,6 @@ func TestCollectParsesLabeledFamilies(t *testing.T) {
 	}
 	if len(s.Schemes["mtlb"]) != 1 || s.Schemes["mtlb"][0].Count != 3 {
 		t.Fatalf("scheme routing wrong: %+v", s.Schemes)
-	}
-	if s.NodeID != "w7" {
-		t.Fatalf("node_info routing wrong: NodeID %q", s.NodeID)
 	}
 }
 

@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mtlbN    = fs.Int("mtlb", 0, "MTLB entries (0 = no MTLB)")
 		ways     = fs.Int("ways", 2, "MTLB associativity")
 		scheme   = fs.String("scheme", "", "translation backend for MTLB systems (empty = "+core.DefaultScheme+")")
-		sbrkSup  = fs.Bool("sbrksp", false, "replay with superpage sbrk semantics")
 		maxPrint = fs.Int("n", 20, "records to print with -dump")
 		jsonOut  = fs.Bool("json", false, "emit the simulation result as JSON")
 	)
@@ -124,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 		defer f.Close()
-		tw, err := trace.NewWriter(f)
+		tw, err := trace.NewWriter(f, w.SbrkSuperpages())
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -176,7 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		p.SbrkSuper = *sbrkSup
 		s, res, err := observed("replay", rep.NewEngine(p))
 		if err != nil {
 			return fail(stderr, err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"shadowtlb/internal/exp"
 	"shadowtlb/internal/sim"
 )
 
@@ -46,5 +47,38 @@ func TestRecordReplayReport(t *testing.T) {
 	}
 	if res.Workload != "trace-replay" {
 		t.Errorf("replayed workload %q, want trace-replay", res.Workload)
+	}
+}
+
+// TestReplayTakesSbrkModeFromTrace records every registered workload at
+// small scale and replays the file with no sbrk option: the trace
+// header carries the mode, so each replay matches its live run on every
+// counter (only the workload name, which a trace file does not record,
+// differs). vortex and gcc rely on superpage sbrk; the rest must keep
+// the flat mode.
+func TestReplayTakesSbrkModeFromTrace(t *testing.T) {
+	machine := []string{"-tlb", "64", "-mtlb", "128", "-json"}
+	for _, name := range exp.AllWorkloadNames() {
+		t.Run(name, func(t *testing.T) {
+			trc := filepath.Join(t.TempDir(), name+".trc")
+			result := func(args ...string) sim.Result {
+				t.Helper()
+				var out, errb strings.Builder
+				if code := run(append(args, machine...), &out, &errb); code != 0 {
+					t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+				}
+				var res sim.Result
+				if err := json.Unmarshal([]byte(out.String()), &res); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				return res
+			}
+			live := result("-record", "-workload", name, "-scale", "small", "-o", trc)
+			replayed := result("-replay", trc)
+			replayed.Workload = live.Workload
+			if replayed != live {
+				t.Errorf("replay diverged from the live run:\nlive:   %+v\nreplay: %+v", live, replayed)
+			}
+		})
 	}
 }

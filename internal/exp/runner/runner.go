@@ -40,18 +40,6 @@ type ExternalCache interface {
 	Do(ctx context.Context, key string, simulate func() sim.Result) (sim.Result, bool, error)
 }
 
-// ExternalCellCache is an ExternalCache that wants the whole cell, not
-// just its key. A cache that satisfies it receives DoCell instead of Do
-// for every pool lookup — the cluster router needs the full machine
-// configuration to dispatch the cell to a remote worker, where the key
-// alone cannot be decompiled back into one. Semantics match Do: return
-// the result, whether it was served without running simulate here, and
-// any routing or cancellation error.
-type ExternalCellCache interface {
-	ExternalCache
-	DoCell(ctx context.Context, c exp.Cell, simulate func() sim.Result) (sim.Result, bool, error)
-}
-
 // CellEvent describes one distinct cell's completion within a pool, for
 // progress streaming: the daemon's NDJSON job-event feed is built from
 // these. The hook fires once per distinct key, when its result becomes
@@ -239,9 +227,6 @@ func (p *Pool) simulate(ctx context.Context, key string, e *entry) (res sim.Resu
 		}
 	}()
 	run := func() sim.Result { return e.cell.SimulateObserved(e.obs) }
-	if cc, ok := p.cache.(ExternalCellCache); ok {
-		return cc.DoCell(ctx, e.cell, run)
-	}
 	if p.cache != nil {
 		return p.cache.Do(ctx, key, run)
 	}

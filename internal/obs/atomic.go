@@ -93,17 +93,6 @@ func (r *Registry) AtomicCounter(name string) *AtomicCounter {
 	return c
 }
 
-// AtomicCounterL registers and returns one labeled series of a
-// concurrency-safe counter family. Returns nil on a nil registry.
-func (r *Registry) AtomicCounterL(name string, labels ...Label) *AtomicCounter {
-	if r == nil {
-		return nil
-	}
-	c := &AtomicCounter{}
-	r.add(metric{name: name, labels: labels, kind: kindCounter, counterFn: c.Value})
-	return c
-}
-
 // AtomicHistogram registers and returns a concurrency-safe histogram.
 // Returns nil (a valid no-op histogram) on a nil registry.
 func (r *Registry) AtomicHistogram(name string) *AtomicHistogram {

@@ -23,7 +23,7 @@ func promFixture() *Registry {
 		h.Observe(1000)
 	}
 	r.SetHelp("serve.cell_wall_us", "per-cell wall time (µs)")
-	r.AtomicCounterL("serve.cache_outcome", Label{Key: "outcome", Value: `we"ird\va` + "\n" + `lue`}).Add(2)
+	r.CounterFuncL("serve.cache_outcome", func() uint64 { return 2 }, Label{Key: "outcome", Value: `we"ird\va` + "\n" + `lue`})
 	h := r.AtomicHistogram("serve.job_wall_us")
 	h.Observe(42)
 	return r

@@ -260,17 +260,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.add(metric{name: name, kind: kindGauge, gaugeFn: fn})
 }
 
-// GaugeFuncL registers a labeled series of a gauge family — the idiom
-// for info-style metrics (a constant 1 carrying identity labels, like a
-// daemon's node id) and for per-member fleet gauges. No-op on a nil
-// registry.
-func (r *Registry) GaugeFuncL(name string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.add(metric{name: name, labels: labels, kind: kindGauge, gaugeFn: fn})
-}
-
 // Histogram registers and returns a live histogram. Returns nil (a
 // valid no-op histogram) on a nil registry.
 func (r *Registry) Histogram(name string) *Histogram {

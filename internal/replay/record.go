@@ -122,14 +122,14 @@ func Record(cfg sim.Config, w workload.Workload) (sim.Result, *Program) {
 }
 
 // TraceRecording wraps w so that running it writes every operation to
-// tw as trace v1 records while passing each through to the environment
-// unchanged; the caller owns flushing the writer. This is the
-// mtlbtrace -record path.
+// tw as trace records while passing each through to the environment
+// unchanged; the caller owns flushing the writer, which it opens with
+// w's sbrk mode. This is the mtlbtrace -record path.
 func TraceRecording(w workload.Workload, tw *trace.Writer) workload.Workload {
 	return &recordedWorkload{inner: w, w: tw}
 }
 
-// recordedWorkload interposes the trace v1 encoder between a workload
+// recordedWorkload interposes the trace encoder between a workload
 // and its environment.
 type recordedWorkload struct {
 	inner workload.Workload

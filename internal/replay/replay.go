@@ -1,5 +1,5 @@
 // Package replay is the batch-compiled trace execution engine: it turns
-// a recorded reference trace (trace v1, or a live capture of any
+// a recorded reference trace (a trace file, or a live capture of any
 // registered workload) into a Program — exact-size column chunks of
 // 64 K references, about 5 bytes each: a 16-bit index into the chunk's
 // page dictionary, the page offset, one byte packing the access size
@@ -98,7 +98,7 @@ type Program struct {
 	// runs configure the OS the same way the live run did.
 	SbrkSuper bool
 	// Workload is the recorded workload's name when known ("" for
-	// traces loaded from files, whose v1 format carries no name).
+	// traces loaded from files, whose format carries no name).
 	Workload string
 }
 
@@ -326,10 +326,10 @@ func Compile(recs []trace.Record) (*Program, error) {
 	return b.finish(), nil
 }
 
-// Load compiles a Program straight from a trace v1 stream, batch-
-// decoding through the reader's reusable buffer so even multi-gigabyte
-// traces compile in one pass with no per-record reads and no
-// intermediate []Record.
+// Load compiles a Program straight from a trace stream, batch-decoding
+// through the reader's reusable buffer so even multi-gigabyte traces
+// compile in one pass with no per-record reads and no intermediate
+// []Record. The program takes its sbrk mode from the trace header.
 func Load(r io.Reader) (*Program, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
@@ -345,7 +345,9 @@ func Load(r io.Reader) (*Program, error) {
 			}
 		}
 		if err == io.EOF {
-			return b.finish(), nil
+			p := b.finish()
+			p.SbrkSuper = tr.SbrkSuper()
+			return p, nil
 		}
 		if err != nil {
 			return nil, err
@@ -439,7 +441,7 @@ func (e *Engine) runCols(env workload.Env, lo, hi int) {
 	}
 }
 
-// storeFill is the placeholder value replayed stores write; the v1
+// storeFill is the placeholder value replayed stores write; the trace
 // format records no store values because replay timing is value-
 // independent.
 const storeFill = 0xD15EA5E

@@ -61,13 +61,13 @@ func TestReplayMatchesLive(t *testing.T) {
 					cfgName, name, liveRes, repRes)
 			}
 
-			// Path 2: trace v1 file round-trip -> compiled program.
+			// Path 2: trace file round-trip -> compiled program.
 			w2, err := exp.MakeWorkload(name, exp.Small)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			tw, err := trace.NewWriter(&buf)
+			tw, err := trace.NewWriter(&buf, w2.SbrkSuperpages())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: Load: %v", cfgName, name, err)
 			}
-			p2.SbrkSuper, p2.Workload = w.SbrkSuperpages(), name
+			p2.Workload = name
 			fileRep := sim.RunOn(cfg, NewEngine(p2))
 			if fileRep != liveRes {
 				t.Errorf("%s/%s: trace-file replay diverged:\nlive:   %+v\nreplay: %+v",
@@ -551,4 +551,48 @@ func TestCompileRejectsBadRecord(t *testing.T) {
 			t.Errorf("Compile(%+v) returned %v, want ErrBadRecord", rec, err)
 		}
 	}
+}
+
+// TestLoadTakesSbrkModeFromHeader: Load gives the program, and so its
+// engine, the sbrk mode the trace header records, and refuses a
+// version-1 trace, which has no flags byte to read it from.
+func TestLoadTakesSbrkModeFromHeader(t *testing.T) {
+	encode := func(t *testing.T, super bool) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		tw, err := trace.NewWriter(&buf, super)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.Write(trace.Record{Kind: trace.KindSbrk, A: 1 << 20})
+		tw.Write(trace.Record{Kind: trace.KindLoad, Size: 8, A: 0x40000000})
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name  string
+		super bool
+	}{{"flat", false}, {"superpage", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Load(bytes.NewReader(encode(t, tc.super)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.SbrkSuper != tc.super || NewEngine(p).SbrkSuperpages() != tc.super {
+				t.Errorf("program sbrk mode %v, engine %v; want %v", p.SbrkSuper, NewEngine(p).SbrkSuperpages(), tc.super)
+			}
+			if p.Refs() != 1 {
+				t.Errorf("program holds %d refs, want 1", p.Refs())
+			}
+		})
+	}
+	t.Run("version 1", func(t *testing.T) {
+		raw := encode(t, true)
+		raw[4] = 1
+		if _, err := Load(bytes.NewReader(raw)); !errors.Is(err, trace.ErrBadVersion) {
+			t.Errorf("Load(v1 trace) = %v, want ErrBadVersion", err)
+		}
+	})
 }

@@ -154,52 +154,6 @@ func (c *ResultCache) lead(key string, f *cacheFlight, simulate func() sim.Resul
 	return f.res, false, nil
 }
 
-// Peek returns the stored result for key without ever simulating: a
-// memory hit refreshes recency, a memory miss consults the persistent
-// tier (promoting a disk hit into memory), and absence is reported
-// without counting a miss — nothing was led to simulate. It is the
-// cluster peering primitive: the worker-side GET /v1/cache endpoint and
-// the coordinator's local-tier check are both Peek, so a cell computed
-// anywhere becomes a cluster-wide hit.
-func (c *ResultCache) Peek(key string) (sim.Result, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		res := el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res, true
-	}
-	store := c.store
-	c.mu.Unlock()
-	if store != nil {
-		if res, ok := store.Get(key); ok {
-			c.mu.Lock()
-			c.insert(key, res)
-			c.hits++
-			c.disk++
-			c.mu.Unlock()
-			return res, true
-		}
-	}
-	return sim.Result{}, false
-}
-
-// Add stores a result computed elsewhere — a cell dispatched to a
-// cluster worker, or read from a peer's cache — at the MRU position,
-// writing through to the persistent tier when one is attached. Unlike
-// Do it never simulates and counts neither hit nor miss.
-func (c *ResultCache) Add(key string, res sim.Result) {
-	c.mu.Lock()
-	c.insert(key, res)
-	store := c.store
-	c.mu.Unlock()
-	if store != nil {
-		// Best-effort persistence, as in lead.
-		_ = store.Put(key, res)
-	}
-}
-
 // SetStore attaches a persistent second tier: memory misses consult it
 // before simulating, and every simulated result is written through to
 // it. Call before serving traffic.

@@ -13,7 +13,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -164,8 +163,7 @@ func statusError(resp *http.Response) error {
 // submission back to the caller. The wait is the larger of the daemon's
 // Retry-After hint and a capped exponential backoff, with jitter so a
 // fleet of rejected clients does not re-arrive in lockstep — exactly the
-// behavior every caller of Submit used to reimplement, and what a
-// cluster coordinator uses when dispatching cells to loaded workers.
+// behavior every caller of Submit used to reimplement.
 type RetryPolicy struct {
 	// MaxAttempts bounds total submission attempts (first try included);
 	// <= 1 disables retrying.
@@ -292,29 +290,6 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 func (c *Client) Experiments(ctx context.Context) ([]serve.ExperimentInfo, error) {
 	var out []serve.ExperimentInfo
 	err := c.do(ctx, http.MethodGet, "/v1/experiments", "/v1/experiments", nil, nil, &out)
-	return out, err
-}
-
-// PeekCell asks the daemon for a cached cell result by canonical key
-// without triggering a simulation — the cluster cache-peering lookup.
-// The bool reports whether the daemon had it; absence is not an error.
-func (c *Client) PeekCell(ctx context.Context, key string) (serve.CellLookup, bool, error) {
-	var out serve.CellLookup
-	err := c.do(ctx, http.MethodGet, "/v1/cache?key="+url.QueryEscape(key), "/v1/cache", nil, nil, &out)
-	if err != nil {
-		var se *StatusError
-		if errors.As(err, &se) && se.Code == http.StatusNotFound {
-			return serve.CellLookup{}, false, nil
-		}
-		return serve.CellLookup{}, false, err
-	}
-	return out, true, nil
-}
-
-// NodeInfo fetches the daemon's cluster identity and load document.
-func (c *Client) NodeInfo(ctx context.Context) (serve.NodeInfo, error) {
-	var out serve.NodeInfo
-	err := c.do(ctx, http.MethodGet, "/v1/node", "/v1/node", nil, nil, &out)
 	return out, err
 }
 

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -343,52 +344,130 @@ func TestRetryDelayCurve(t *testing.T) {
 	}
 }
 
-// TestPeekCellAndNodeInfo exercises the cluster peering endpoints
-// against a real daemon: a computed cell is peekable by canonical key,
-// an unknown key is a clean not-found, and /v1/node reports identity
-// and capacity.
-func TestPeekCellAndNodeInfo(t *testing.T) {
-	s := serve.New(serve.Config{Workers: 2, NodeID: "w1"})
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx) //nolint:errcheck // best-effort teardown
-	})
-
+// TestEndpointsAgainstDaemon drives every read and control call of the
+// client against one real daemon, in order: liveness, readiness, the
+// experiment registry, a job run to done, its status and a no-op
+// cancel, the metrics dump (which counts the cached cell), typed
+// errors for an unknown job, and finally readiness while draining.
+func TestEndpointsAgainstDaemon(t *testing.T) {
+	s, _, ts := startDaemon(t)
 	c := New(ts.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := c.Run(ctx, serve.JobSpec{Cells: []serve.CellSpec{{Workload: "stride", TLB: 64}}, Scale: "small"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != serve.StateDone || len(st.Result.Cells) != 1 {
-		t.Fatalf("job %s: %+v", st.State, st.Result)
-	}
-	key := st.Result.Cells[0].Key
+	var done serve.JobStatus
 
-	look, ok, err := c.PeekCell(ctx, key)
-	if err != nil || !ok {
-		t.Fatalf("PeekCell(computed key): ok=%v err=%v", ok, err)
+	t.Run("healthz", func(t *testing.T) {
+		if err := c.Healthz(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("readyz", func(t *testing.T) {
+		if err := c.Readyz(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("experiments", func(t *testing.T) {
+		got, err := c.Experiments(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := serve.Experiments()
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("listed %d experiments, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("experiment %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	})
+	t.Run("run", func(t *testing.T) {
+		var types []string
+		st, err := c.Run(ctx, serve.JobSpec{Cells: []serve.CellSpec{{Workload: "stride", TLB: 64}}, Scale: "small"},
+			func(ev serve.Event) { types = append(types, ev.Type) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.StateDone || st.Result == nil || len(st.Result.Cells) != 1 {
+			t.Fatalf("job %s (%s): result %+v", st.State, st.Error, st.Result)
+		}
+		if len(types) == 0 || types[len(types)-1] != "done" {
+			t.Errorf("event stream %v, want it to end with done", types)
+		}
+		done = st
+	})
+	if done.ID == "" {
+		t.Fatal("no finished job to inspect")
 	}
-	if look.Result != st.Result.Cells[0].Result {
-		t.Error("peeked result differs from the job's")
-	}
-	if _, ok, err := c.PeekCell(ctx, "no-such-cell"); err != nil || ok {
-		t.Fatalf("PeekCell(bogus): ok=%v err=%v, want a clean miss", ok, err)
-	}
-
-	ni, err := c.NodeInfo(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ni.NodeID != "w1" || ni.Workers != 2 || ni.Draining {
-		t.Fatalf("NodeInfo = %+v", ni)
-	}
-	if ni.CacheEntries < 1 {
-		t.Fatalf("NodeInfo.CacheEntries = %d after a computed cell", ni.CacheEntries)
-	}
+	t.Run("status", func(t *testing.T) {
+		st, err := c.Status(ctx, done.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.StateDone || st.Result == nil || st.Result.Cells[0].Result != done.Result.Cells[0].Result {
+			t.Errorf("status %s disagrees with the finished run", st.State)
+		}
+	})
+	t.Run("cancel finished job", func(t *testing.T) {
+		if err := c.Cancel(ctx, done.ID); err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Status(ctx, done.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.StateDone {
+			t.Errorf("canceling a done job moved it to %s", st.State)
+		}
+	})
+	t.Run("metrics", func(t *testing.T) {
+		raw, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump []struct {
+			Name  string  `json:"name"`
+			Value float64 `json:"value"`
+		}
+		if err := json.Unmarshal(raw, &dump); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, m := range dump {
+			got[m.Name] = m.Value
+		}
+		for name, want := range map[string]float64{
+			"serve.jobs_done":     1,
+			"serve.cache_entries": 1,
+			"serve.cache_misses":  1,
+		} {
+			if got[name] != want {
+				t.Errorf("%s = %v, want %v", name, got[name], want)
+			}
+		}
+	})
+	t.Run("unknown job", func(t *testing.T) {
+		var se *StatusError
+		if _, err := c.Status(ctx, "no-such-job"); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+			t.Errorf("Status(unknown) = %v, want HTTP 404", err)
+		}
+		if err := c.Cancel(ctx, "no-such-job"); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+			t.Errorf("Cancel(unknown) = %v, want HTTP 404", err)
+		}
+		if _, err := c.Wait(ctx, "no-such-job", nil); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+			t.Errorf("Wait(unknown) = %v, want HTTP 404", err)
+		}
+	})
+	t.Run("readyz while draining", func(t *testing.T) {
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var se *StatusError
+		if err := c.Readyz(ctx); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+			t.Errorf("Readyz while draining = %v, want HTTP 503", err)
+		}
+		if err := c.Healthz(ctx); err != nil {
+			t.Errorf("Healthz while draining = %v, want 200", err)
+		}
+	})
 }

@@ -43,10 +43,6 @@ type errorBody struct {
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/events NDJSON event stream until terminal
 //	GET    /v1/experiments      registered experiment ids
-//	GET    /v1/cache?key=K      cached cell result lookup, never simulates
-//	                            (the cluster cache-peering primitive)
-//	GET    /v1/node             node identity and load, for cluster
-//	                            coordinators and dashboards
 //	GET    /healthz             liveness: 200 while the process serves
 //	GET    /readyz              readiness: 200 accepting / 503 draining
 //	GET    /metrics             JSON dump, or Prometheus text exposition
@@ -58,8 +54,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	mux.HandleFunc("GET /v1/cache", s.handleCachePeek)
-	mux.HandleFunc("GET /v1/node", s.handleNode)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -205,39 +199,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleCachePeek answers a cache-peering lookup: the cell result for
-// ?key= from this daemon's memory or disk tier, 404 when absent. It
-// never simulates — a peer asking "do you have this?" must get a cheap
-// answer — so a cluster coordinator can turn any node's past work into
-// a cluster-wide hit. Keys are canonical cell keys (exp.Cell.Key), sent
-// URL-encoded because they contain separators.
-func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing key parameter"))
-		return
-	}
-	res, ok := s.cache.Peek(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cached result for key"))
-		return
-	}
-	writeJSON(w, http.StatusOK, CellLookup{Key: key, Result: res})
-}
-
-// handleNode reports this daemon's cluster identity and instantaneous
-// load — what a coordinator's health monitor and mtlbtop consume.
-func (s *Server) handleNode(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, NodeInfo{
-		NodeID:       s.cfg.NodeID,
-		Workers:      s.Workers(),
-		QueueDepth:   s.QueueDepth(),
-		Inflight:     s.Inflight(),
-		Draining:     s.Draining(),
-		CacheEntries: s.cache.Len(),
-	})
 }
 
 // handleExperiments lists the experiment registry.

@@ -170,26 +170,6 @@ type RenderedTable struct {
 	CSV  string `json:"csv"`
 }
 
-// CellLookup is the GET /v1/cache?key= document: one cached cell
-// result, served from this daemon's memory or disk tier without
-// simulating. It is how cluster peers read each other's caches.
-type CellLookup struct {
-	Key    string     `json:"key"`
-	Result sim.Result `json:"result"`
-}
-
-// NodeInfo is the GET /v1/node document: the daemon's cluster identity
-// and instantaneous load, consumed by coordinators (routing and health)
-// and dashboards.
-type NodeInfo struct {
-	NodeID       string `json:"node_id"`
-	Workers      int    `json:"workers"`
-	QueueDepth   int    `json:"queue_depth"`
-	Inflight     int    `json:"inflight"`
-	Draining     bool   `json:"draining"`
-	CacheEntries int    `json:"cache_entries"`
-}
-
 // Event is one NDJSON line of GET /v1/jobs/{id}/events.
 type Event struct {
 	// Type is queued, started, cell, done, failed or canceled.

@@ -63,12 +63,6 @@ type Config struct {
 	// StoreMaxBytes bounds the persistent store's on-disk size
 	// (0 = resultstore.DefaultMaxBytes). Ignored without StoreDir.
 	StoreMaxBytes int64
-	// NodeID names this daemon within a cluster. It is surfaced as the
-	// node_id label on the serve.node_info metric, as a span attribute
-	// on every job, and in the GET /v1/node document, so multi-node
-	// scrapes and traces are distinguishable. Empty is fine for a
-	// standalone daemon.
-	NodeID string
 }
 
 // withDefaults fills zero fields.
@@ -166,13 +160,6 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("serve.queue_depth", func() float64 { return float64(len(s.queue)) })
 	s.reg.GaugeFunc("serve.jobs_inflight", func() float64 { return float64(s.inflight.Load()) })
 	s.reg.GaugeFunc("serve.workers", func() float64 { return float64(cap(s.sem)) })
-	if cfg.NodeID != "" {
-		// Info-style metric: a constant 1 whose node_id label names this
-		// daemon, the Prometheus idiom for identity in multi-node scrapes.
-		s.reg.GaugeFuncL("serve.node_info", func() float64 { return 1 },
-			obs.Label{Key: "node_id", Value: cfg.NodeID})
-		s.reg.SetHelp("serve.node_info", "constant 1; the node_id label names this daemon within a cluster")
-	}
 	s.mCellWall = s.reg.AtomicHistogram("serve.cell_wall_us")
 	s.mJobWall = s.reg.AtomicHistogram("serve.job_wall_us")
 	s.mAdmitWait = s.reg.AtomicHistogram("serve.admission_wait_us")
@@ -236,15 +223,6 @@ func (s *Server) Start() {
 
 // Workers returns the simulation concurrency bound.
 func (s *Server) Workers() int { return cap(s.sem) }
-
-// NodeID returns the daemon's cluster node id, "" when standalone.
-func (s *Server) NodeID() string { return s.cfg.NodeID }
-
-// Inflight returns the number of jobs currently executing.
-func (s *Server) Inflight() int { return int(s.inflight.Load()) }
-
-// QueueDepth returns the number of admitted-but-not-started jobs.
-func (s *Server) QueueDepth() int { return len(s.queue) }
 
 // SetCacheWrapper interposes wrap's return value between job pools and
 // the server's result cache — the fault-injection harness wraps the
@@ -317,9 +295,6 @@ func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext) (*Job, error
 	j := newJob(s.newID(), spec)
 	j.span = s.tracer.StartSpan("job", parent)
 	j.span.SetAttr("id", j.id)
-	if s.cfg.NodeID != "" {
-		j.span.SetAttr("node", s.cfg.NodeID)
-	}
 	select {
 	case s.queue <- j:
 		s.admitMu.RUnlock()

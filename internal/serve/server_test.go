@@ -628,6 +628,7 @@ func TestMetricsPublishedBeforeDone(t *testing.T) {
 		"serve.job_wall_us":   1, // a histogram's value is its count
 		"serve.jobs_done":     1,
 		"serve.jobs_inflight": 0,
+		"serve.cache_entries": 1,
 	} {
 		if got[name] != want {
 			t.Errorf("%s = %v when Done closed, want %v", name, got[name], want)

@@ -12,7 +12,7 @@ import (
 
 // header returns a valid trace header.
 func header() []byte {
-	var hdr [6]byte
+	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint32(hdr[:4], Magic)
 	hdr[4] = Version
 	hdr[5] = arch.PageShift
@@ -34,7 +34,7 @@ func encode(r Record) []byte {
 // from the byte stream the production writer actually emits.
 func recorderSeed() []byte {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriter(&buf, false)
 	if err != nil {
 		panic(err)
 	}
@@ -52,7 +52,7 @@ func recorderSeed() []byte {
 	return buf.Bytes()
 }
 
-// FuzzReader feeds arbitrary bytes to the v1 parser. The contract under
+// FuzzReader feeds arbitrary bytes to the parser. The contract under
 // test: the parser never panics, always terminates, and fails only with
 // the documented sentinel errors (or io.EOF at a clean record
 // boundary) — a fuzzer finding any other error or a hang has found a
@@ -65,12 +65,15 @@ func FuzzReader(f *testing.F) {
 	f.Add(recorderSeed()[:len(recorderSeed())-5]) // recorder trace cut mid-record
 	f.Add(append(header(), encode(Record{Kind: KindLoad, Size: 8, A: 0x10000})...))
 	f.Add(append(header(), encode(Record{Kind: KindAllocAligned, A: 1 << 22, B: 1<<22<<32 | 64})...))
-	f.Add(append(header(), 0xFF))                                          // truncated record
-	f.Add(append(header(), encode(Record{Kind: KindAllocAligned + 1})...)) // unknown kind
-	f.Add([]byte{})                                                        // truncated header
-	f.Add([]byte("MTLB"))                                                  // magic only
-	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, 2, arch.PageShift})               // bad version
-	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, 1, 13})                           // wrong page shift
+	f.Add(append(header(), 0xFF))                                                 // truncated record
+	f.Add(append(header(), encode(Record{Kind: KindAllocAligned + 1})...))        // unknown kind
+	f.Add([]byte{})                                                               // truncated header
+	f.Add([]byte("MTLB"))                                                         // magic only
+	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, Version + 1, arch.PageShift, 0})         // bad version
+	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, 1, arch.PageShift})                      // version 1
+	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, Version, 13, 0})                         // wrong page shift
+	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, Version, arch.PageShift, 0x81})          // unknown flag
+	f.Add([]byte{0x42, 0x4C, 0x54, 0x4D, Version, arch.PageShift, flagSbrkSuper}) // superpage sbrk
 	f.Add([]byte("not a trace file at all....."))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -114,7 +117,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, size uint8, a, b uint64) {
 		rec := Record{Kind: Kind(kind % 7), Size: size, A: a, B: b}
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
+		w, err := NewWriter(&buf, false)
 		if err != nil {
 			t.Fatal(err)
 		}

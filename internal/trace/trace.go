@@ -54,12 +54,22 @@ type Record struct {
 const Magic = uint32(0x4D544C42) // "MTLB"
 
 // Version is the current trace format version. The header is the magic
-// followed by a version byte and the recording machine's base-page
-// shift, so a reader rejects traces from an incompatible format or
-// architecture instead of replaying garbage addresses.
-const Version = 1
+// followed by a version byte, the recording machine's base-page shift
+// and a flags byte, so a reader rejects traces from an incompatible
+// format or architecture instead of replaying garbage addresses.
+// Version 1 had no flags byte and is rejected.
+const Version = 2
 
-const recordBytes = 1 + 1 + 8 + 8
+// flagSbrkSuper, in the header's flags byte, marks a trace recorded
+// from a workload that relies on superpage sbrk
+// (workload.Workload.SbrkSuperpages). A replay must set the same mode
+// to reproduce the live run.
+const flagSbrkSuper = 1 << 0
+
+const (
+	headerBytes = 4 + 1 + 1 + 1
+	recordBytes = 1 + 1 + 8 + 8
+)
 
 // Sentinel errors for malformed traces. All errors returned by
 // NewReader, Next and ReadAll wrap one of these (or io.EOF at a clean
@@ -70,7 +80,7 @@ var (
 	// not a trace file at all.
 	ErrBadMagic = errors.New("trace: bad magic; not a trace file")
 	// ErrBadVersion means the trace was written by an unknown format
-	// version.
+	// version, or sets header flags this build does not know.
 	ErrBadVersion = errors.New("trace: unsupported format version")
 	// ErrArchMismatch means the trace was recorded on a machine whose
 	// page geometry differs from this build; replaying it would map
@@ -91,12 +101,16 @@ type Writer struct {
 }
 
 // NewWriter writes a trace to w, emitting the header immediately.
-func NewWriter(w io.Writer) (*Writer, error) {
+// sbrkSuper records the traced workload's sbrk mode in the header.
+func NewWriter(w io.Writer, sbrkSuper bool) (*Writer, error) {
 	bw := bufio.NewWriter(w)
-	var hdr [6]byte
+	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint32(hdr[:4], Magic)
 	hdr[4] = Version
 	hdr[5] = arch.PageShift
+	if sbrkSuper {
+		hdr[6] = flagSbrkSuper
+	}
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, err
 	}
@@ -137,8 +151,9 @@ func (w *Writer) Flush() error {
 // which at tens of millions of records per trace was the decode path's
 // dominant cost.
 type Reader struct {
-	r   *bufio.Reader
-	buf [batchRecords * recordBytes]byte
+	r         *bufio.Reader
+	sbrkSuper bool
+	buf       [batchRecords * recordBytes]byte
 }
 
 // batchRecords is how many records one ReadBatch decode buffer holds:
@@ -146,12 +161,12 @@ type Reader struct {
 // the io.ReadFull call across ~1800 records.
 const batchRecords = 32 * 1024 / recordBytes
 
-// NewReader validates the header — magic, format version, and that the
-// recording machine's page geometry matches this build — and returns a
-// record reader.
+// NewReader validates the header — magic, format version, known flags,
+// and that the recording machine's page geometry matches this build —
+// and returns a record reader.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	var hdr [6]byte
+	var hdr [headerBytes]byte
 	if n, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w header: %d bytes, want %d", ErrTruncated, n, len(hdr))
@@ -168,8 +183,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("%w: trace recorded with %d-byte pages, this build uses %d-byte pages",
 			ErrArchMismatch, 1<<hdr[5], arch.PageSize)
 	}
-	return &Reader{r: br}, nil
+	if hdr[6]&^flagSbrkSuper != 0 {
+		return nil, fmt.Errorf("%w: unknown header flags 0x%02x", ErrBadVersion, hdr[6])
+	}
+	return &Reader{r: br, sbrkSuper: hdr[6]&flagSbrkSuper != 0}, nil
 }
+
+// SbrkSuper reports the recorded workload's sbrk mode: true when it
+// relied on superpage sbrk.
+func (r *Reader) SbrkSuper() bool { return r.sbrkSuper }
 
 // Next returns the next record, or io.EOF at the end of the trace.
 // A stream ending mid-record wraps ErrTruncated; a record with an

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ import (
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriter(&buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestBadMagic(t *testing.T) {
 
 func TestTruncatedRecord(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewWriter(&buf, false)
 	w.Write(Record{Kind: KindLoad, Size: 8, A: 1})
 	w.Flush()
 	raw := buf.Bytes()[:buf.Len()-3] // chop the last record
@@ -73,7 +74,7 @@ func TestTruncatedRecord(t *testing.T) {
 func TestRecordRoundTripProperty(t *testing.T) {
 	f := func(kind uint8, size uint8, a, b uint64) bool {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf)
+		w, _ := NewWriter(&buf, false)
 		rec := Record{Kind: Kind(kind % 7), Size: size, A: a, B: b}
 		w.Write(rec)
 		if w.Flush() != nil {
@@ -116,7 +117,7 @@ func (f *fakeEnv) AllocAligned(name string, size, align, off uint64) arch.VAddr 
 
 func TestRecorderCapturesAndForwards(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewWriter(&buf, false)
 	env := &fakeEnv{}
 	rec := &Recorder{Env: env, W: w}
 
@@ -161,12 +162,12 @@ var _ workload.Env = (*fakeEnv)(nil)
 
 func TestHeaderSentinelErrors(t *testing.T) {
 	var good bytes.Buffer
-	w, _ := NewWriter(&good)
+	w, _ := NewWriter(&good, false)
 	w.Write(Record{Kind: KindStep, A: 1})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	hdr := append([]byte(nil), good.Bytes()[:6]...)
+	hdr := append([]byte(nil), good.Bytes()[:headerBytes]...)
 
 	cases := []struct {
 		name string
@@ -177,6 +178,8 @@ func TestHeaderSentinelErrors(t *testing.T) {
 		{"short header", hdr[:3], ErrTruncated},
 		{"bad magic", []byte("nope nope"), ErrBadMagic},
 		{"bad version", mutate(hdr, 4, Version+1), ErrBadVersion},
+		{"version 1", mutate(hdr, 4, 1), ErrBadVersion},
+		{"unknown flags", mutate(hdr, 6, 0x80|flagSbrkSuper), ErrBadVersion},
 		{"arch mismatch", mutate(hdr, 5, arch.PageShift+4), ErrArchMismatch},
 	}
 	for _, tc := range cases {
@@ -184,6 +187,56 @@ func TestHeaderSentinelErrors(t *testing.T) {
 			_, err := NewReader(bytes.NewReader(tc.raw))
 			if !errors.Is(err, tc.want) {
 				t.Errorf("NewReader = %v, want %v", err, tc.want)
+			}
+		})
+	}
+	// Every flag bit but the sbrk mode is reserved: a reader cannot know
+	// what a later writer meant by it, so each alone refuses the file.
+	for bit := 1; bit < 8; bit++ {
+		t.Run(fmt.Sprintf("flag bit %d", bit), func(t *testing.T) {
+			_, err := NewReader(bytes.NewReader(mutate(hdr, 6, 1<<bit)))
+			if !errors.Is(err, ErrBadVersion) {
+				t.Errorf("NewReader = %v, want %v", err, ErrBadVersion)
+			}
+		})
+	}
+}
+
+// TestSbrkModeRoundTrip: the writer's sbrk mode lands in the header's
+// flags byte, the reader reports it back, and the records that follow
+// read unchanged.
+func TestSbrkModeRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		super bool
+		flags byte
+	}{
+		{"flat", false, 0},
+		{"superpage", true, flagSbrkSuper},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, tc.super)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Record{Kind: KindSbrk, A: 1 << 20}
+			w.Write(want)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.Bytes()[headerBytes-1]; got != tc.flags {
+				t.Errorf("header flags byte = %#02x, want %#02x", got, tc.flags)
+			}
+			r, err := NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.SbrkSuper() != tc.super {
+				t.Errorf("SbrkSuper = %v, want %v", r.SbrkSuper(), tc.super)
+			}
+			if got, err := r.Next(); err != nil || got != want {
+				t.Errorf("first record = %+v, %v; want %+v", got, err, want)
 			}
 		})
 	}
@@ -198,7 +251,7 @@ func mutate(b []byte, i int, v byte) []byte {
 
 func TestTruncatedSentinel(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewWriter(&buf, false)
 	w.Write(Record{Kind: KindLoad, Size: 8, A: 1})
 	w.Write(Record{Kind: KindStore, Size: 8, A: 2})
 	if err := w.Flush(); err != nil {
@@ -229,7 +282,7 @@ func TestTruncatedSentinel(t *testing.T) {
 
 func TestBadRecordKind(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewWriter(&buf, false)
 	w.Write(Record{Kind: KindAllocAligned + 1, A: 9})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -245,7 +298,7 @@ func TestBadRecordKind(t *testing.T) {
 
 func TestCleanEOF(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewWriter(&buf, false)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
