@@ -29,9 +29,11 @@ const (
 	modified           // dirty: filled exclusively or written since fill
 )
 
+// line is one resident line, 16 bytes on a 64-bit host. It keeps no
+// virtual address: the index comes from the access's address, and
+// FlushPage from its argument.
 type line struct {
 	state lineState
-	vbase uint64 // virtual address of first byte (index + flush-by-VA)
 	pbase uint64 // physical address of first byte (tag + write-back target)
 }
 
@@ -202,7 +204,6 @@ func (c *Cache) ColorOf(pa arch.PAddr) uint64 {
 // kind must be Read or Write; instruction fetches never reach the data
 // cache (the instruction cache is perfect).
 func (c *Cache) Access(va arch.VAddr, pa arch.PAddr, kind arch.AccessKind) Result {
-	vline := uint64(va) &^ c.lineMask
 	pline := uint64(pa) &^ c.lineMask
 	idx := c.index(uint64(va), uint64(pa))
 	set := c.set(idx)
@@ -255,7 +256,7 @@ func (c *Cache) Access(va arch.VAddr, pa arch.PAddr, kind arch.AccessKind) Resul
 	}
 	res.Events[res.NEvents] = Event{Kind: fill, PAddr: arch.PAddr(pline)}
 	res.NEvents++
-	*v = line{state: st, vbase: vline, pbase: pline}
+	*v = line{state: st, pbase: pline}
 	return res
 }
 

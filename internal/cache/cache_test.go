@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"shadowtlb/internal/arch"
 )
@@ -234,5 +235,17 @@ func TestWriteBackOnlyDirtyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLineIs16Bytes pins the line layout: a state byte and the physical
+// tag, 16 bytes on a 64-bit host, so the default cache's 16,384 lines
+// take 256 KB.
+func TestLineIs16Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("line layout is sized for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(line{}); n != 16 {
+		t.Errorf("line is %d bytes, want 16", n)
 	}
 }

@@ -199,13 +199,32 @@ func (c *CPU) SwitchVM(v *vm.VM) {
 func (c *CPU) Cycles() stats.Cycles { return c.Breakdown.Total() }
 
 // instr accounts n executed instructions (one cycle each, single issue)
-// and simulates the instruction-fetch side: every IFetchPeriod
-// instructions control transfers to another text page, missing the
-// micro-ITLB and consulting the main TLB.
-func (c *CPU) instr(n int) {
+// and reports whether the caller must finish the accounting with
+// instrSlow: when a timer tick is due, a sampler is attached, or a
+// fetch boundary is reached. Together they are Charge(n, User) written
+// out, plus the instruction fetches. instr holds no call, so it inlines
+// into access and Step and the common case takes one branch.
+//
+// Every counter stays current after each instruction, since the
+// lockstep executor, OnTick hooks and maybePreempt read them between
+// instructions.
+func (c *CPU) instr(n int) (slow bool) {
 	c.Instructions += uint64(n)
-	c.Charge(stats.Cycles(n), User)
+	c.Breakdown.User += stats.Cycles(n)
+	c.sliceUsed += stats.Cycles(n)
 	c.sinceIFetch += n
+	return c.K.Elapse(stats.Cycles(n)) || c.smp != nil || c.sinceIFetch >= c.cfg.IFetchPeriod
+}
+
+// instrSlow finishes instr's accounting: it fires any due timer tick,
+// samples, and simulates the instruction-fetch side, in Charge's order.
+// Every IFetchPeriod instructions control transfers to another text
+// page, missing the micro-ITLB and consulting the main TLB.
+func (c *CPU) instrSlow() {
+	c.Breakdown.Kernel += c.K.Advance(0)
+	if c.smp != nil {
+		c.smp.MaybeSample(uint64(c.Breakdown.Total()))
+	}
 	for c.sinceIFetch >= c.cfg.IFetchPeriod {
 		c.sinceIFetch -= c.cfg.IFetchPeriod
 		c.ifetch()
@@ -234,15 +253,7 @@ func (c *CPU) ifetch() {
 	}
 	e := c.TLB.Lookup(uint64(va))
 	if e == nil {
-		res, err := c.VM.HandleTLBMiss(va, arch.Read)
-		if err != nil {
-			panic(fmt.Sprintf("cpu: ifetch TLB miss at %v: %v", va, err))
-		}
-		c.noteMiss(res)
-		c.Charge(res.HandlerCycles, TLBMiss)
-		c.Charge(res.FaultCycles+res.PromoteCycles, KernelTime)
-		c.TLB.Insert(res.Entry)
-		e = c.TLB.Probe(uint64(va))
+		_, e = c.translateMissed(va, arch.Read)
 	}
 	c.ITLB.Refill(tlb.Entry{Class: e.Class, Tag: e.Tag, Target: e.Target})
 }
@@ -281,12 +292,14 @@ func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) *[arch.PageS
 		panic(fmt.Sprintf("cpu: access at %v size %d crosses a page boundary", va, size))
 	}
 	c.maybePreempt()
-	c.instr(1)
+	if c.instr(1) {
+		c.instrSlow()
+	}
 
 	if c.cfg.NoFastPath {
 		return c.accessSlow(va, kind, 0, nil, nil)
 	}
-	// The memo is consulted after instr(1), whose ifetch can insert TLB
+	// The memo is consulted after instrSlow, whose ifetch can insert TLB
 	// entries and run kernel code; the claim and generation checks
 	// inside fastAccess observe any such mutation.
 	return c.fastAccess(va, kind)
@@ -417,7 +430,9 @@ var _ workload.Streamer = (*CPU)(nil)
 func (c *CPU) Step(n int) {
 	if n > 0 {
 		c.maybePreempt()
-		c.instr(n)
+		if c.instr(n) {
+			c.instrSlow()
+		}
 	}
 }
 

@@ -4,10 +4,10 @@ import "shadowtlb/internal/obs"
 
 // Observe attaches an observability session to the processor. The CPU
 // registers the run's cycle breakdown and instruction counters, keeps
-// the sampler so Charge — the single point every simulated cycle flows
-// through — can drive cycle-interval snapshots, and keeps the timeline
-// so each software TLB miss becomes a span. With no session the fields
-// stay nil and the hot path pays one nil check per charge.
+// the sampler so every cycle charge — Charge, and instr's inline
+// accounting — can drive cycle-interval snapshots, and keeps the
+// timeline so each software TLB miss becomes a span. With no session
+// the fields stay nil and the hot path pays one nil check per charge.
 func (c *CPU) Observe(o *obs.Obs) {
 	r := o.Registry()
 	r.CounterFunc("cycles.user", func() uint64 { return uint64(c.Breakdown.User) })

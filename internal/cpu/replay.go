@@ -30,7 +30,8 @@
 //   - so are a reference's steps. RefCols.Issue calls Step once per
 //     recorded step, because Step checks for preemption first and under
 //     a quantum a switch may land between Step(a) and Step(b). Without
-//     a quantum Step(n) is instr(n), and instr(a);instr(b) ≡ instr(a+b):
+//     a quantum Step(n) charges n instructions (instr, then instrSlow
+//     when it asks), and Step(a);Step(b) ≡ Step(a+b):
 //     the same instructions and cycles are charged and the same
 //     instruction fetches run in the same order, while nothing between
 //     them reads the cycle or tick count once no timeline, sampler or
@@ -264,7 +265,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 			pend += uint64(step)
 			si += step
 			if si >= period {
-				// instr(n) charges the whole batch, then fetches.
+				// Step(n) charges the whole batch, then fetches.
 				flush()
 				for si >= period {
 					si -= period

@@ -9,7 +9,11 @@
 // breakdown categories.
 package kernel
 
-import "shadowtlb/internal/stats"
+import (
+	"math"
+
+	"shadowtlb/internal/stats"
+)
 
 // Costs enumerates every fixed CPU-cycle cost the simulated OS charges.
 // Values are CPU cycles at 240 MHz. The calibration notes reference the
@@ -123,7 +127,13 @@ type Kernel struct {
 	// read-only with respect to simulator state.
 	OnTick func()
 
+	// sinceTick counts the cycles since the last timer interrupt, and
+	// nextTick is the count at which the next one fires: TimerPeriod,
+	// or never when the timer is disabled. nextTick is zero until the
+	// first charge, which takes the slow path and derives it from
+	// Costs; Costs must not change after that.
 	sinceTick int
+	nextTick  int
 }
 
 // New returns a kernel with the given cost model.
@@ -158,14 +168,35 @@ func (k *Kernel) SyscallEntry() stats.Cycles {
 
 // Advance notifies the kernel that n CPU cycles have elapsed and returns
 // the cycles consumed by any timer interrupts that fired in the span.
+// Between ticks it is an add and a compare, inlined into its callers.
 func (k *Kernel) Advance(n stats.Cycles) stats.Cycles {
-	if k.Costs.TimerPeriod <= 0 {
+	if k.Elapse(n) {
+		return k.tick()
+	}
+	return 0
+}
+
+// Elapse counts n elapsed cycles toward the next timer interrupt without
+// firing it, and reports whether one is due. A caller that sees true
+// fires it with Advance(0) before charging anything else. This lets the
+// CPU fold the timer check into the one branch its per-instruction
+// accounting takes.
+func (k *Kernel) Elapse(n stats.Cycles) bool {
+	k.sinceTick += int(n)
+	return k.sinceTick >= k.nextTick
+}
+
+// tick fires every timer interrupt due and returns their cycles.
+func (k *Kernel) tick() stats.Cycles {
+	p := k.Costs.TimerPeriod
+	if p <= 0 {
+		k.sinceTick, k.nextTick = 0, math.MaxInt
 		return 0
 	}
-	k.sinceTick += int(n)
+	k.nextTick = p
 	var spent stats.Cycles
-	for k.sinceTick >= k.Costs.TimerPeriod {
-		k.sinceTick -= k.Costs.TimerPeriod
+	for k.sinceTick >= p {
+		k.sinceTick -= p
 		k.TimerTicks++
 		spent += stats.Cycles(k.Costs.TimerHandler)
 		if k.OnTick != nil {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"testing"
 
 	"shadowtlb/internal/stats"
@@ -74,5 +75,79 @@ func TestDefaultCostsSanity(t *testing.T) {
 	}
 	if c.PageCopy != 11400 {
 		t.Errorf("PageCopy = %d, paper reports 11400", c.PageCopy)
+	}
+}
+
+// tickLoop is the timer as it was first written, one loop iteration per
+// period a charge spans. TestAdvanceMatchesTickLoop holds Advance to it.
+type tickLoop struct {
+	period, handler int
+	sinceTick       int
+	ticks           uint64
+	cycles          stats.Cycles
+}
+
+func (m *tickLoop) advance(n stats.Cycles) (spent stats.Cycles, calls int) {
+	if m.period <= 0 {
+		return 0, 0
+	}
+	m.sinceTick += int(n)
+	for m.sinceTick >= m.period {
+		m.sinceTick -= m.period
+		m.ticks++
+		spent += stats.Cycles(m.handler)
+		calls++
+	}
+	m.cycles += spent
+	return spent, calls
+}
+
+// TestAdvanceMatchesTickLoop drives Advance and the reference loop with
+// one seeded sequence of charges — nothing, one cycle, a period less
+// one, a period, several periods at once, and arbitrary spans — and
+// requires the same returned cycles, tick count, tick cycles and OnTick
+// calls after every charge, for short, odd and default periods and for
+// a disabled timer.
+func TestAdvanceMatchesTickLoop(t *testing.T) {
+	for _, period := range []int{1, 7, 2_400_000, 0, -1} {
+		c := DefaultCosts()
+		c.TimerPeriod = period
+		k := New(c)
+		calls := 0
+		k.OnTick = func() { calls++ }
+		ref := &tickLoop{period: period, handler: c.TimerHandler}
+
+		span := period
+		if span <= 0 {
+			span = DefaultCosts().TimerPeriod
+		}
+		rng := rand.New(rand.NewSource(int64(span)))
+		for i := 0; i < 5000; i++ {
+			var n int
+			switch rng.Intn(6) {
+			case 0:
+				n = 0
+			case 1:
+				n = 1
+			case 2:
+				n = span - 1
+			case 3:
+				n = span
+			case 4:
+				n = (2+rng.Intn(4))*span + rng.Intn(span)
+			default:
+				n = rng.Intn(3 * span)
+			}
+			before := calls
+			got := k.Advance(stats.Cycles(n))
+			want, wantCalls := ref.advance(stats.Cycles(n))
+			if got != want || k.TimerTicks != ref.ticks || k.TimerCycles != ref.cycles || calls-before != wantCalls {
+				t.Fatalf("period %d, charge %d (#%d): Advance returned %d, ticks %d, tick cycles %d, %d OnTick calls; the loop gives %d, %d, %d, %d",
+					period, n, i, got, k.TimerTicks, k.TimerCycles, calls-before, want, ref.ticks, ref.cycles, wantCalls)
+			}
+		}
+		if period > 0 && ref.ticks == 0 {
+			t.Errorf("period %d: no tick fired", period)
+		}
 	}
 }

@@ -95,14 +95,6 @@ func (s *Sampler) Rows() int {
 	return len(s.rows)
 }
 
-// Interval returns the sampling interval in cycles.
-func (s *Sampler) Interval() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.every
-}
-
 // WriteCSV renders the time series: one row per sample, first column
 // the sample's cycle. Counter columns show the delta accumulated since
 // the previous sample (the per-interval event count); gauge columns

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -573,14 +572,4 @@ func Experiments() []ExperimentInfo {
 		out[i] = ExperimentInfo{ID: d.ID, Title: d.Title, Scaled: d.Scaled}
 	}
 	return out
-}
-
-// JobIDs returns the retained job ids, oldest first (for debugging and
-// tests).
-func (s *Server) JobIDs() []string {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	ids := append([]string(nil), s.order...)
-	sort.SliceStable(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	return ids
 }
