@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"shadowtlb/internal/sim"
 	"shadowtlb/internal/stats"
 	"shadowtlb/internal/workload"
+	"shadowtlb/internal/workload/radix"
 )
 
 // -update rewrites the result golden from the current simulator:
@@ -58,7 +60,11 @@ func makeWorkload(t *testing.T, name string, s exp.Scale) workload.Workload {
 // this golden holds whole results as JSON:
 //   - each paper workload at small scale on tlb64 and on
 //     tlb64+mtlb128/2w;
-//   - em3dp on four CPUs;
+//   - the 18 small cells of the smp experiment: each multicore workload
+//     with and without the MTLB at every CPU count, on tlb64;
+//   - FuzzSMPSchedule's sort under four perturbed schedules (quantum,
+//     arbitration seed and CPU count), which move timing but not the
+//     program;
 //   - compress and gcc time-sliced on one tlb64+mtlb128/2w machine
 //     under a 200,000-cycle quantum;
 //   - em3d at paper scale on tlb64, which crosses about 100 timer ticks
@@ -86,8 +92,26 @@ func TestResultGolden(t *testing.T) {
 		}
 	}
 
-	smp := mtlb.WithSMP(4)
-	add("em3dp small "+smp.Label, sim.RunSMP(smp, makeWorkload(t, "em3dp", exp.Small)))
+	for _, name := range exp.SMPWorkloadNames() {
+		for _, cfg := range []sim.Config{base, mtlb} {
+			for _, cpus := range exp.SMPCPUCounts {
+				smp := cfg.WithSMP(cpus)
+				add(name+" small "+smp.Label, sim.RunSMP(smp, makeWorkload(t, name, exp.Small)))
+			}
+		}
+	}
+	for _, p := range []sim.SMPParams{
+		{CPUs: 3, Quantum: 16, ArbSeed: 0},
+		{CPUs: 4, Quantum: 16, ArbSeed: 1},
+		{CPUs: 3, Quantum: 23, ArbSeed: 0xDEADBEEF},
+		{CPUs: 4, Quantum: 1024, ArbSeed: 1},
+	} {
+		cfg := mtlb
+		cfg.SMP = &p
+		w := radix.NewParallel(radix.Config{Keys: 1 << 12, Radix: 256})
+		add(fmt.Sprintf("radixp 4096 keys %s cpus %d quantum %d seed %#x", cfg.Label, p.CPUs, p.Quantum, p.ArbSeed),
+			sim.RunSMP(cfg, w))
+	}
 
 	ms := sim.NewMulti(mtlb, []workload.Workload{
 		makeWorkload(t, "compress", exp.Small),
