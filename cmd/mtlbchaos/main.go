@@ -4,7 +4,7 @@
 // delays — see internal/faultinject) with the machine invariant
 // catalogue auditing each run (internal/invariant). Multicore cells run
 // under multicore plans — shootdown storms striking random CPU subsets
-// at lockstep round boundaries — with the per-CPU smp.memo and
+// at executor round boundaries — with the per-CPU smp.memo and
 // shootdown.ipi rules auditing every processor. Because every injected
 // fault is semantically invisible, any invariant violation is a real
 // bug; the tool prints the plan seed that provoked it, and the same

@@ -78,7 +78,7 @@ func TestChaosSchemeSweepClean(t *testing.T) {
 
 // TestChaosSMPSweepClean runs the multicore coverage cells under
 // multicore fault plans — shootdown storms striking random CPU subsets
-// at lockstep round boundaries — and expects zero violations of the
+// at executor round boundaries — and expects zero violations of the
 // per-CPU smp.memo and shootdown.ipi rules, with storms demonstrably
 // delivered.
 func TestChaosSMPSweepClean(t *testing.T) {

@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // TestGoldenTables pins the paper-figure tables — and the multicore smp
 // family — byte-for-byte: the rendered output at small scale must match
 // the committed goldens exactly. Simulations are deterministic (the smp
-// tables by the lockstep executor's GOMAXPROCS-independence), so any
+// tables at any GOMAXPROCS, since one CPU's thread runs at a time), so any
 // diff is a real change to simulated behavior (or to table rendering)
 // and must be reviewed — then blessed with -update.
 func TestGoldenTables(t *testing.T) {

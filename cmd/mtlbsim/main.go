@@ -9,7 +9,7 @@
 //	mtlbsim -workload random -mtlb 512 -ways 512    # fully associative
 //	mtlbsim -workload radix -size small -json       # result as JSON
 //	mtlbsim -workload radix -size small -metrics out/ -timeline t.json
-//	mtlbsim -workload radixp -cpus 4 -mtlb 128      # 4-CPU lockstep machine
+//	mtlbsim -workload radixp -cpus 4 -mtlb 128      # 4-CPU machine
 package main
 
 import (
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		frames  = fs.Uint64("frames", 0, "cap user frames (0 = all; small values force paging)")
 		banks   = fs.Int("banks", 0, "DRAM banks for open-row timing (0 = flat latency)")
 		scheme  = fs.String("scheme", "", "MMC translation scheme (empty = "+core.DefaultScheme+")")
-		cpus    = fs.Int("cpus", 1, "simulated CPUs (>1 runs the multicore lockstep executor)")
+		cpus    = fs.Int("cpus", 1, "simulated CPUs (>1 runs the multicore machine)")
 		jsonOut = fs.Bool("json", false, "emit the result as JSON instead of text")
 	)
 	obsF := cmdutil.RegisterCommonFlags(fs)

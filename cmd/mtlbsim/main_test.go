@@ -83,8 +83,8 @@ func TestRunSmallWorkload(t *testing.T) {
 	}
 }
 
-// TestRunMulticore drives the -cpus flag end to end: the lockstep
-// executor runs the parallel radix sort on four CPUs and the report
+// TestRunMulticore drives the -cpus flag end to end: the multicore
+// machine runs the parallel radix sort on four CPUs and the report
 // gains the multicore block.
 func TestRunMulticore(t *testing.T) {
 	var out, errb strings.Builder

@@ -71,6 +71,12 @@ const (
 // CPU is the processor model. It implements the workload execution
 // environment: Load, Store, Step, Sbrk, Remap, AllocRegion.
 type CPU struct {
+	// memo is the page memo both engines share (fastpath.go). It comes
+	// first so that each 64-byte memoSlot sits on one cache line: a
+	// CPU is a page-aligned allocation, and a field before memo would
+	// shift every slot across two lines.
+	memo [memoSlots]memoSlot
+
 	cfg   Config
 	TLB   *tlb.TLB
 	ITLB  *tlb.MicroITLB
@@ -101,12 +107,9 @@ type CPU struct {
 	sinceIFetch int
 	textPage    int
 	sliceUsed   stats.Cycles
-	inKernel    bool
 
-	// memo is the page memo both engines share (fastpath.go), and stab
-	// the shadow table whose generation validates it (nil without
-	// shadow memory).
-	memo [memoSlots]memoSlot
+	// stab is the shadow table whose generation validates the memo
+	// (nil without shadow memory).
 	stab *core.ShadowTable
 
 	// Observability instruments (see observe.go); nil means disabled.
@@ -206,8 +209,8 @@ func (c *CPU) Cycles() stats.Cycles { return c.Breakdown.Total() }
 // into access and Step and the common case takes one branch.
 //
 // Every counter stays current after each instruction, since the
-// lockstep executor, OnTick hooks and maybePreempt read them between
-// instructions.
+// multicore executor's slot accounting, OnTick hooks and maybePreempt
+// read them between instructions.
 func (c *CPU) instr(n int) (slow bool) {
 	c.Instructions += uint64(n)
 	c.Breakdown.User += stats.Cycles(n)

@@ -202,3 +202,13 @@ func TestMemoSlotFillsOneCacheLine(t *testing.T) {
 		t.Errorf("memoSlot is %d bytes, want 64", n)
 	}
 }
+
+// TestMemoSlotsAreLineAligned pins where the memo sits: first in the
+// CPU, a page-aligned allocation, so that no slot straddles two host
+// cache lines.
+func TestMemoSlotsAreLineAligned(t *testing.T) {
+	c := testCPU(t, false, 64)
+	if a := uintptr(unsafe.Pointer(&c.memo[0])); a%64 != 0 {
+		t.Errorf("memo starts at %#x, off a 64-byte line", a)
+	}
+}

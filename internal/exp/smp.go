@@ -52,7 +52,7 @@ func (r SMPResult) Cell(workload string, mtlb bool, cpus int) SMPCell {
 }
 
 // smpConfig builds the family's machine: the 64-entry front TLB, the
-// paper's MTLB when fitted, and n lockstep CPUs.
+// paper's MTLB when fitted, and n CPUs.
 func smpConfig(mtlb bool, cpus int) Cell {
 	cfg := baseConfig().WithTLB(SMPTLBEntries)
 	if mtlb {

@@ -235,7 +235,7 @@ func (inj *Injector) fillDelay() int {
 }
 
 // SMPPlan is one deterministic multicore fault schedule. Storms are the
-// multicore-specific fault: at lockstep round boundaries, a random
+// multicore-specific fault: at executor round boundaries, a random
 // subset of CPUs has its private translation state (front TLB,
 // micro-ITLB, fast-path memo) purged at once — the worst-case
 // approximation of IPI broadcasts arriving from outside the workload,
@@ -244,7 +244,7 @@ func (inj *Injector) fillDelay() int {
 type SMPPlan struct {
 	Seed uint64
 
-	// StormEvery delivers a shootdown storm every Nth lockstep round.
+	// StormEvery delivers a shootdown storm every Nth executor round.
 	StormEvery int
 	// StormMaxCPUs bounds how many CPUs one storm strikes (clamped to
 	// the machine size; at least one CPU is always struck).
@@ -312,8 +312,8 @@ func (inj *SMPInjector) fault(counter *uint64, kind string) {
 
 // AttachSMP wires the plan into a freshly assembled multicore system.
 // It must run before invariant.AttachSMP so audits observe the state
-// each fault leaves behind. The lockstep round hook is chained; faults
-// fire on the committer goroutine at round boundaries, where no
+// each fault leaves behind. The executor's round hook is chained; faults
+// fire at round boundaries, when every CPU's thread is parked and no
 // reference or kernel operation is mid-flight.
 func AttachSMP(s *sim.SMPSystem, p SMPPlan) *SMPInjector {
 	inj := &SMPInjector{Plan: p, sys: s, rng: newRNG(p.Seed ^ 0xE7037ED1A0B428DB)}
@@ -336,7 +336,7 @@ func (inj *SMPInjector) Injected() uint64 {
 	return inj.Storms + inj.SwapOuts + inj.FillDelays
 }
 
-// onRound fires after each committed lockstep round.
+// onRound fires after each executor round.
 func (inj *SMPInjector) onRound() {
 	inj.rounds++
 	p := inj.Plan

@@ -369,11 +369,11 @@ func Attach(s *sim.System, opts Options) *Checker {
 }
 
 // AttachSMP wires a checker to a multicore system's hooks: timer ticks,
-// every address space's VM operation notifications, and lockstep
-// quantum boundaries trigger CheckSMP audits with the same doubling
-// back-off as Attach, and run end always audits. Quantum boundaries are
-// the multicore-specific safe point — the committer has drained every
-// CPU's round, so no mutation (including a mid-IPI shootdown) is in
+// every address space's VM operation notifications, and executor round
+// boundaries trigger CheckSMP audits with the same doubling back-off as
+// Attach, and run end always audits. Round boundaries are the
+// multicore-specific safe point — every CPU's thread is parked at the
+// end of its slot, so no mutation (including a mid-IPI shootdown) is in
 // flight. Existing hooks are chained, so a multicore fault injector and
 // a checker coexist; the checker audits the state the injector left.
 func AttachSMP(s *sim.SMPSystem, opts Options) *Checker {

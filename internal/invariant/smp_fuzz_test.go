@@ -26,8 +26,8 @@ func fuzzSMPConfig(cpus, quantum int, arbSeed uint64) sim.Config {
 // reference the perturbed schedules must reproduce.
 var baselineInstructions sync.Map
 
-// FuzzSMPSchedule perturbs the lockstep executor's only scheduling
-// freedoms — the quantum length and the arbitration rotation seed — and
+// FuzzSMPSchedule perturbs the multicore executor's only scheduling
+// freedoms — the slot length and the arbitration rotation seed — and
 // requires that under every schedule (a) the full multicore invariant
 // catalogue stays clean across the run, (b) the same schedule replayed
 // is bit-identical, (c) the executed instruction stream is untouched
@@ -43,9 +43,10 @@ func FuzzSMPSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, arbSeed uint64, quantum, cpus int) {
 		cpus = 1 + abs(cpus)%4
 		// The floor keeps one execution in fuzzing's time budget: a
-		// 1-ref quantum is a legal schedule but commits round by round
-		// through the whole run, and the audit sweeps on top push a
-		// single input past the coordinator's hang threshold.
+		// 1-entry quantum is a legal schedule but hands the machine
+		// over after every reference through the whole run, and the
+		// audit sweeps on top push a single input past the
+		// coordinator's hang threshold.
 		quantum = 16 + abs(quantum)%1009
 		cfg := fuzzSMPConfig(cpus, quantum, arbSeed)
 

@@ -179,3 +179,28 @@ func TestResultGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSMPOneCPUMatchesUniprocessor referees the multicore executor
+// against the uniprocessor machine: on one CPU, every paper workload
+// must measure exactly what RunOn measures, on every field both
+// report, and its machine clock must be its breakdown's total.
+func TestSMPOneCPUMatchesUniprocessor(t *testing.T) {
+	base := sim.Default().WithTLB(64)
+	for _, name := range exp.WorkloadNames() {
+		for _, cfg := range []sim.Config{base, base.WithMTLB(core.DefaultMTLBConfig())} {
+			want := sim.RunOn(cfg, makeWorkload(t, name, exp.Small))
+			got := sim.RunSMP(cfg.WithSMP(1), makeWorkload(t, name, exp.Small))
+			if got.MachineCycles != uint64(got.Breakdown.Total()) {
+				t.Errorf("%s %s: machine cycles %d, breakdown total %d",
+					name, cfg.Label, got.MachineCycles, got.Breakdown.Total())
+			}
+			got.Label = want.Label
+			got.CPUs, got.MachineCycles, got.IPIs = 0, 0, 0
+			got.BusStallCycles, got.BarrierCycles, got.MaxCPUCycles, got.MinCPUCycles = 0, 0, 0, 0
+			if got != want {
+				t.Errorf("%s %s: one CPU differs from the uniprocessor\n got: %+v\nwant: %+v",
+					name, cfg.Label, got, want)
+			}
+		}
+	}
+}

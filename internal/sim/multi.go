@@ -28,9 +28,9 @@ import (
 // MTLB itself is indexed by *physical* (shadow) addresses, so its
 // contents remain valid across switches.
 //
-// Scheduling is deterministic: each process runs in a goroutine that is
-// resumed and suspended through unbuffered channels, with exactly one
-// runnable goroutine at any time.
+// Scheduling is deterministic: each process runs as a simulated thread
+// (thread.go) that the scheduler resumes and that yields at the end of
+// its slice, so exactly one goroutine runs at any time.
 
 // Proc is one scheduled process.
 type Proc struct {
@@ -45,9 +45,7 @@ type Proc struct {
 	// Switches counts times the process was scheduled in.
 	Switches uint64
 
-	resume chan struct{}
-	yield  chan struct{}
-	done   bool
+	t *thread
 }
 
 // MultiSystem is a machine shared by several processes: one set of
@@ -82,10 +80,7 @@ func NewMulti(cfg Config, workloads []workload.Workload, quantum stats.Cycles) *
 		Dram: base.Dram, Frames: base.Frames, CPU: base.CPU,
 		MMC: base.MMC, Kernel: base.Kernel,
 	}
-	ms.Procs = append(ms.Procs, &Proc{
-		Workload: workloads[0], VM: base.VM,
-		resume: make(chan struct{}), yield: make(chan struct{}),
-	})
+	ms.Procs = append(ms.Procs, &Proc{Workload: workloads[0], VM: base.VM})
 
 	for i, w := range workloads[1:] {
 		// Each further process gets its own hashed page table in a
@@ -109,10 +104,7 @@ func NewMulti(cfg Config, workloads []workload.Workload, quantum stats.Cycles) *
 			ShadowAlloc: shadowAlloc, STable: stable,
 		})
 		v.OnShootdown = ms.CPU.FlushMemo
-		ms.Procs = append(ms.Procs, &Proc{
-			Workload: w, VM: v,
-			resume: make(chan struct{}), yield: make(chan struct{}),
-		})
+		ms.Procs = append(ms.Procs, &Proc{Workload: w, VM: v})
 	}
 	return ms
 }
@@ -124,44 +116,28 @@ func (ms *MultiSystem) Run() stats.Cycles {
 	c.Charge(ms.Kernel.Boot(), cpu.KernelTime)
 	c.Quantum = ms.Quantum
 
-	// Launch each process body, parked until first scheduled.
+	// Each process body is parked until first scheduled.
+	var ts threadSet
+	defer ts.stop()
 	for _, p := range ms.Procs {
-		p := p
-		go func() {
-			<-p.resume
-			c.Charge(ms.Kernel.StartProcess(), cpu.KernelTime)
-			if p.Workload.SbrkSuperpages() && p.VM.HasShadow() {
-				sc := p.VM.SbrkConfigNow()
-				sc.Superpages = true
-				p.VM.ConfigureSbrk(sc)
-			}
+		p.t = ts.start(func() {
+			startProcess(c, p.VM, p.Workload)
 			p.Workload.Run(c)
 			c.Charge(ms.Kernel.ExitProcess(), cpu.KernelTime)
-			p.done = true
-			p.yield <- struct{}{}
-		}()
+		})
 	}
 
 	// The scheduler: strict round robin over unfinished processes.
-	// OnQuantum suspends the running goroutine and hands control back
-	// here; exactly one goroutine runs at a time, so the simulation
-	// stays deterministic.
+	// OnQuantum hands the machine back here from the running process.
 	var current *Proc
-	c.OnQuantum = func() {
-		// Capture the running proc: the scheduler reassigns `current`
-		// between our yield send and the next resume, and we must wait
-		// on our own channel.
-		me := current
-		me.yield <- struct{}{}
-		<-me.resume
-	}
+	c.OnQuantum = func() { current.t.yield() }
 
 	remaining := len(ms.Procs)
 	idx := 0
 	for remaining > 0 {
 		p := ms.Procs[idx%len(ms.Procs)]
 		idx++
-		if p.done {
+		if p.t.done {
 			continue
 		}
 		// Dispatch p: context switch if the CPU was running another
@@ -175,13 +151,12 @@ func (ms *MultiSystem) Run() stats.Cycles {
 			p.Switches++
 		}
 		current = p
-		p.resume <- struct{}{}
-		<-p.yield
+		p.t.run()
 		delta := c.Breakdown
 		p.Cycles += delta.Total() - before.Total()
 		p.TLBMissCycles += delta.TLBMiss - before.TLBMiss
 
-		if p.done {
+		if p.t.done {
 			remaining--
 		}
 	}

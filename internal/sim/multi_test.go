@@ -20,7 +20,7 @@ func TestMultiRunsToCompletion(t *testing.T) {
 		t.Fatal("no cycles")
 	}
 	for i, p := range ms.Procs {
-		if !p.done {
+		if !p.t.done {
 			t.Errorf("proc %d not done", i)
 		}
 		if p.Cycles == 0 {
@@ -128,4 +128,22 @@ func TestMultiValidation(t *testing.T) {
 		}()
 		NewMulti(small(), []workload.Workload{gcc.New(gcc.SmallConfig())}, 0)
 	}()
+}
+
+// failingProc runs past its first quantum, then panics, while the
+// process before it is parked mid-run.
+type failingProc struct{}
+
+func (failingProc) Name() string         { return "failing" }
+func (failingProc) SbrkSuperpages() bool { return false }
+func (failingProc) Run(env workload.Env) {
+	for i := 0; i < 1_000_000; i++ {
+		env.Step(1)
+	}
+	panic("process fails")
+}
+
+func TestMultiProcessPanicReachesCaller(t *testing.T) {
+	ws := []workload.Workload{compress.New(compress.SmallConfig()), failingProc{}}
+	checkThreadPanic(t, "process fails", func() { NewMulti(small().WithTLB(64), ws, 200_000).Run() })
 }

@@ -116,8 +116,9 @@ type SMPParams struct {
 	// CPUs is the processor count (1 runs the multicore executor on a
 	// single CPU — useful as the speedup baseline).
 	CPUs int
-	// Quantum is the lockstep quantum in references per CPU per round
-	// (0 = DefaultSMPQuantum). Timing-visible: shorter quanta commit
+	// Quantum is the length of a CPU's slot in a round, in entries: a
+	// load or store is one, and the steps that follow it fold into it
+	// (0 = DefaultSMPQuantum). Timing-visible: shorter quanta run
 	// smaller slices per arbitration turn.
 	Quantum int
 	// ArbSeed perturbs the per-round rotation of the arbitration order
@@ -127,7 +128,8 @@ type SMPParams struct {
 	ArbSeed uint64
 }
 
-// DefaultSMPQuantum is the lockstep quantum when SMPParams.Quantum is 0.
+// DefaultSMPQuantum is the slot length, in entries, when
+// SMPParams.Quantum is 0.
 const DefaultSMPQuantum = 256
 
 // WithSMP returns the config with an n-CPU multicore machine selected.
@@ -393,14 +395,7 @@ func (r Result) TLBFraction() float64 { return r.Breakdown.TLBFraction() }
 // of process exit()", §3.2).
 func (s *System) Run(w workload.Workload) Result {
 	s.CPU.Charge(s.Kernel.Boot(), cpu.KernelTime)
-	s.CPU.Charge(s.Kernel.StartProcess(), cpu.KernelTime)
-
-	if w.SbrkSuperpages() && s.VM.HasShadow() {
-		cfg := s.VM.SbrkConfigNow()
-		cfg.Superpages = true
-		s.VM.ConfigureSbrk(cfg)
-	}
-
+	startProcess(s.CPU, s.VM, w)
 	w.Run(s.CPU)
 
 	s.CPU.Charge(s.Kernel.ExitProcess(), cpu.KernelTime)

@@ -24,7 +24,7 @@ import (
 // with its own front TLB, micro-ITLB and §10 fast-path memo, sharing
 // one bus, data cache, MMC (and through it the MTLB and shadow space),
 // DRAM, frame pool and kernel — the shape the die-stacked multicore TLB
-// literature probes, and ROADMAP item 4.
+// literature probes.
 //
 // Two workload shapes run on it:
 //
@@ -42,13 +42,10 @@ import (
 // Any other workload runs serially on CPU 0 with the remaining CPUs
 // idle.
 //
-// Execution is the generator/committer lockstep described in DESIGN
-// §17: each simulated CPU's workload thread runs on a real goroutine
-// against a private functional page mirror, emitting bounded reference
-// quanta; a single committer drains the quanta through the timing model
-// in a fixed per-round arbitration order. All timing state is mutated
-// by the committer alone, so results are bit-identical for any
-// GOMAXPROCS while generation overlaps commit on multi-core hosts.
+// The executor (executor.go, DESIGN §17) runs each CPU's thread on the
+// CPU's timing model directly, one thread at a time, in slots of a
+// fixed per-round arbitration order, so results are bit-identical for
+// any GOMAXPROCS.
 type SMPSystem struct {
 	Cfg Config
 	N   int
@@ -80,9 +77,9 @@ type SMPSystem struct {
 	// processor's completion time including barrier idling.
 	MachineCycles uint64
 
-	// OnQuantum, when set, fires after each lockstep round commits,
-	// with the machine in a consistent state: the fault injector's and
-	// invariant sweeps' multicore hook.
+	// OnQuantum, when set, fires after each executor round, with the
+	// machine in a consistent state: the fault injector's and invariant
+	// sweeps' multicore hook.
 	OnQuantum func(round uint64)
 	// OnRunEnd fires after the workload and process exits complete,
 	// before the result is collected — the final whole-machine audit.
@@ -90,9 +87,8 @@ type SMPSystem struct {
 
 	w       workload.Workload
 	threads []smpThread // one per CPU: its program and address spaces
-	seq     bool        // reference sequential executor (see RunSequential)
 	ran     bool
-	cur     int // CPU whose stream the committer is currently committing
+	cur     int // CPU whose thread holds the machine
 	obs     *obs.Obs
 }
 
@@ -216,7 +212,7 @@ func NewSMP(cfg Config, w workload.Workload) *SMPSystem {
 
 // shootdownIPI is the shared-address-space shootdown broadcaster,
 // installed as VMs[0].OnShootdown: the initiating CPU (the one whose
-// stream the committer is draining) pays one IPI dispatch per remote
+// thread holds the machine) pays one IPI dispatch per remote
 // processor; each remote processor pays the handler cost and loses its
 // micro-ITLB and fast-path memo. The stale front-TLB range itself was
 // already purged by the VM's peer fan-out before this hook fires.
@@ -252,7 +248,7 @@ func (s *SMPSystem) Run() Result {
 		panic("sim: SMPSystem ran twice")
 	}
 	s.ran = true
-	s.runLockstep()
+	s.execute()
 
 	if s.OnRunEnd != nil {
 		s.OnRunEnd()
@@ -372,17 +368,5 @@ func RunSMP(cfg Config, w workload.Workload) Result {
 func RunSMPObserved(cfg Config, w workload.Workload, o *obs.Obs) Result {
 	s := NewSMP(cfg, w)
 	s.Observe(o)
-	return s.Run()
-}
-
-// RunSMPSequential runs the workload on the reference executor: the
-// same machine and commit order, but generators are paced so that at
-// most one goroutine is runnable at any point after startup — the
-// multicore twin of MultiSystem's resume/yield scheduling. The
-// determinism suite diffs its Results against the pipelined executor's;
-// any divergence means timing state leaked into the generators.
-func RunSMPSequential(cfg Config, w workload.Workload) Result {
-	s := NewSMP(cfg, w)
-	s.seq = true
 	return s.Run()
 }

@@ -53,16 +53,6 @@ func TestSMPEm3dChecksumStableAcrossCPUCounts(t *testing.T) {
 	}
 }
 
-func TestSMPSequentialExecutorMatches(t *testing.T) {
-	for _, cpus := range []int{1, 2, 4} {
-		rp := RunSMP(smpConfig(cpus), radix.NewParallel(radix.SmallConfig()))
-		rs := RunSMPSequential(smpConfig(cpus), radix.NewParallel(radix.SmallConfig()))
-		if rp != rs {
-			t.Fatalf("cpus=%d: pipelined vs sequential:\n%+v\n%+v", cpus, rp, rs)
-		}
-	}
-}
-
 func TestSMPDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	want := RunSMP(smpConfig(2), radix.NewParallel(radix.SmallConfig()))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -104,4 +94,25 @@ func TestSMPSerialWorkloadOnCPU0(t *testing.T) {
 	if res.MinCPUCycles >= res.MaxCPUCycles {
 		t.Fatalf("expected an idle second CPU: min %d max %d", res.MinCPUCycles, res.MaxCPUCycles)
 	}
+}
+
+// failingParallel is a parallel workload whose thread 1 panics between
+// two barriers, while the others are parked mid-run.
+type failingParallel struct{}
+
+func (failingParallel) Name() string           { return "failing" }
+func (failingParallel) SbrkSuperpages() bool   { return false }
+func (p failingParallel) Run(env workload.Env) { p.RunThread(env, 0, 1) }
+func (failingParallel) RunThread(env workload.Env, t, n int) {
+	env.Step(100)
+	workload.Sync(env)
+	if t == 1 {
+		panic("thread 1 fails")
+	}
+	env.Step(100)
+	workload.Sync(env)
+}
+
+func TestSMPThreadPanicReachesCaller(t *testing.T) {
+	checkThreadPanic(t, "thread 1 fails", func() { RunSMP(smpConfig(4), failingParallel{}) })
 }

@@ -4,7 +4,8 @@ package workload
 // address space — the SPLASH-2 shape the multicore simulator executes
 // with one thread pinned to each simulated CPU.
 //
-// The contract that makes lock-free parallel generation possible:
+// The contract that keeps each thread's program independent of how the
+// simulator interleaves the threads:
 //
 //   - Threads own disjoint sets of pages. A thread issues Loads and
 //     Stores only against pages it owns; values that must cross
@@ -30,8 +31,9 @@ type Parallel interface {
 }
 
 // Barrierer is the optional Env extension Parallel workloads use to
-// rendezvous. The multicore generator env implements it; serial envs
-// do not, making every barrier a no-op under a single thread.
+// rendezvous. The env the multicore executor gives each CPU's thread
+// implements it; serial envs do not, making every barrier a no-op
+// under a single thread.
 type Barrierer interface {
 	// Barrier blocks until all unfinished threads reach a barrier.
 	Barrier()
