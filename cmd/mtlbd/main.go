@@ -17,10 +17,7 @@
 // or point mtlbexp at it: mtlbexp -exp all -scale small -server
 // http://localhost:8047 prints byte-identical output to a local run.
 // Liveness is GET /healthz (200 while the process serves, draining
-// included); readiness is GET /readyz (503 once drain begins). With
-// -trace every job's span tree (submit → admission → run → per-cell →
-// stream) streams to a JSON-lines file; -trace-perfetto writes the
-// retained spans as a Perfetto trace at shutdown.
+// included); readiness is GET /readyz (503 once drain begins).
 //
 // On SIGINT/SIGTERM the daemon drains: admission closes (new jobs get
 // 503), admitted jobs run to completion, then the listener closes.
@@ -41,7 +38,6 @@ import (
 
 	"shadowtlb/internal/core"
 	"shadowtlb/internal/invariant"
-	"shadowtlb/internal/obs"
 	"shadowtlb/internal/resultstore"
 	"shadowtlb/internal/serve"
 )
@@ -59,19 +55,17 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 	fs := flag.NewFlagSet("mtlbd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listen   = fs.String("listen", ":8047", "listen address")
-		workers  = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		jobs     = fs.Int("jobs", 4, "concurrently executing jobs")
-		queue    = fs.Int("queue", 64, "admission queue capacity (full queue = 429)")
-		cache    = fs.Int("cache", 4096, "result cache entries")
-		timeout  = fs.Duration("timeout", 5*time.Minute, "default per-job deadline")
-		drain    = fs.Duration("drain", 10*time.Minute, "max time to wait for in-flight jobs on shutdown")
-		chk      = fs.Bool("check", false, "audit machine invariants during every simulation (panics on violation; slower)")
-		scheme   = fs.String("scheme", "", "default translation backend for cell specs that leave scheme unset (empty = "+core.DefaultScheme+")")
-		trace    = fs.String("trace", "", "stream job spans to this JSON-lines file as they complete")
-		perfetto = fs.String("trace-perfetto", "", "write retained job spans as a Perfetto trace at shutdown")
-		store    = fs.String("store", "", "persistent result store directory; repeat configurations survive restarts (empty = memory only)")
-		storeMB  = fs.Int64("store-max-mb", 0, "persistent store size bound in MiB (0 = default)")
+		listen  = fs.String("listen", ":8047", "listen address")
+		workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		jobs    = fs.Int("jobs", 4, "concurrently executing jobs")
+		queue   = fs.Int("queue", 64, "admission queue capacity (full queue = 429)")
+		cache   = fs.Int("cache", 4096, "result cache entries")
+		timeout = fs.Duration("timeout", 5*time.Minute, "default per-job deadline")
+		drain   = fs.Duration("drain", 10*time.Minute, "max time to wait for in-flight jobs on shutdown")
+		chk     = fs.Bool("check", false, "audit machine invariants during every simulation (panics on violation; slower)")
+		scheme  = fs.String("scheme", "", "default translation backend for cell specs that leave scheme unset (empty = "+core.DefaultScheme+")")
+		store   = fs.String("store", "", "persistent result store directory; repeat configurations survive restarts (empty = memory only)")
+		storeMB = fs.Int64("store-max-mb", 0, "persistent store size bound in MiB (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -108,25 +102,6 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 		StoreDir:       *store,
 		StoreMaxBytes:  *storeMB << 20,
 	})
-
-	// Tracing is opt-in: without either flag the daemon runs with a nil
-	// tracer and every span site costs nothing.
-	var tracer *obs.Tracer
-	var traceFile *os.File
-	if *trace != "" || *perfetto != "" {
-		var sink io.Writer
-		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fmt.Fprintf(stderr, "mtlbd: %v\n", err)
-				return 1
-			}
-			traceFile = f
-			sink = f
-		}
-		tracer = obs.NewTracer("mtlbd", sink, 0)
-		srv.SetTracer(tracer)
-	}
 	srv.Start()
 
 	hs := &http.Server{Handler: srv.Handler()}
@@ -160,36 +135,6 @@ func run(args []string, sig <-chan os.Signal, ready chan<- string, stdout, stder
 		code = 1
 	}
 	<-serveErr // Serve returns ErrServerClosed after Shutdown
-
-	// Flush the trace artifacts after the drain, so every admitted
-	// job's spans are in them.
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(stderr, "mtlbd: closing trace: %v\n", err)
-			code = 1
-		}
-	}
-	if *perfetto != "" {
-		if err := writePerfetto(*perfetto, tracer); err != nil {
-			fmt.Fprintf(stderr, "mtlbd: %v\n", err)
-			code = 1
-		} else {
-			fmt.Fprintf(stdout, "mtlbd: wrote %d spans to %s\n", len(tracer.Spans()), *perfetto)
-		}
-	}
 	fmt.Fprintln(stdout, "mtlbd: drained, bye")
 	return code
-}
-
-// writePerfetto dumps the tracer's retained spans as a Perfetto trace.
-func writePerfetto(path string, tracer *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteSpanTrace(f, tracer.Spans()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,15 +42,26 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	c := client.New(base, nil)
-	if err := c.Healthz(ctx); err != nil {
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	exps, err := c.Experiments(ctx)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
+	}
+	resp, err = http.Get(base + "/v1/experiments")
+	if err != nil {
+		t.Fatalf("experiments: %v", err)
+	}
+	var exps []serve.ExperimentInfo
+	err = json.NewDecoder(resp.Body).Decode(&exps)
+	resp.Body.Close()
 	if err != nil || len(exps) == 0 {
 		t.Fatalf("experiments: %v (%d)", err, len(exps))
 	}
 
+	c := client.New(base, nil)
 	st, err := c.Run(ctx, serve.JobSpec{
 		Cells: []serve.CellSpec{{Workload: "stride", TLB: 64}},
 		Scale: "small",

@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scheme   = fs.String("scheme", "", "MMC translation scheme for MTLB-fitted systems (empty = "+core.DefaultScheme+"; -list to enumerate)")
 		pstats   = fs.Bool("stats", false, "report cell-cache effectiveness on stderr")
 		server   = fs.String("server", "", "offload the run to an mtlbd daemon at `URL` (output is byte-identical to local)")
-		trace    = fs.String("trace", "", "with -server: write client-side spans to this JSON-lines file and propagate the trace to the daemon")
 		store    = fs.String("store", "", "persistent result store directory; cells simulated by past runs are read back instead of re-simulated")
 	)
 	obsFlags := cmdutil.RegisterCommonFlags(fs)
@@ -105,11 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mtlbexp: -metrics and -timeline are not supported with -server (per-cell sessions live in the daemon)")
 			return 2
 		}
-		return runRemote(*server, *name, *trace, descs, s, *csv, *jsonOut, *pstats, stdout, stderr)
-	}
-	if *trace != "" {
-		fmt.Fprintln(stderr, "mtlbexp: -trace requires -server (local runs have no service path; use -timeline for simulated cycles)")
-		return 2
+		return runRemote(*server, *name, descs, s, *csv, *jsonOut, *pstats, stdout, stderr)
 	}
 
 	pool := runner.New(*parallel)

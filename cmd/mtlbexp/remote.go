@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"shadowtlb/internal/exp"
-	"shadowtlb/internal/obs"
 	"shadowtlb/internal/serve"
 	"shadowtlb/internal/serve/client"
 )
@@ -15,34 +13,13 @@ import (
 // runRemote offloads the experiment run to an mtlbd daemon and reprints
 // its rendered tables with exactly the writes the local path uses, so
 // remote output is byte-identical to a local run of the same
-// experiments. traceFile, when set, streams client-side spans
-// (invocation → submit/wait) there as JSON lines and propagates the
-// trace context to the daemon, whose own spans join the same trace.
-func runRemote(base, name, traceFile string, descs []exp.Descriptor, s exp.Scale, csv, jsonOut, pstats bool, stdout, stderr io.Writer) int {
-	ctx := context.Background()
-	c := client.New(base, nil)
-
-	var root *obs.Span
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			fmt.Fprintf(stderr, "mtlbexp: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		tracer := obs.NewTracer("mtlbexp", f, 0)
-		root = tracer.StartSpan("invocation", obs.SpanContext{})
-		root.SetAttr("server", base)
-		defer root.End()
-		c.SetTracer(tracer, root.Context())
-		fmt.Fprintf(stderr, "mtlbexp: trace %s -> %s\n", root.Context().Trace, traceFile)
-	}
-
+// experiments.
+func runRemote(base, name string, descs []exp.Descriptor, s exp.Scale, csv, jsonOut, pstats bool, stdout, stderr io.Writer) int {
 	ids := make([]string, len(descs))
 	for i, d := range descs {
 		ids[i] = d.ID
 	}
-	st, err := c.Run(ctx, serve.JobSpec{Experiments: ids, Scale: s.String()}, nil)
+	st, err := client.New(base, nil).Run(context.Background(), serve.JobSpec{Experiments: ids, Scale: s.String()}, nil)
 	if err != nil {
 		fmt.Fprintf(stderr, "mtlbexp: %v\n", err)
 		return 1

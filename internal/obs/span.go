@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,22 +12,22 @@ import (
 	"time"
 )
 
-// This file is the service-side tracing facility: wall-clock spans with
-// a trace identity (trace ID + parent span ID) that survives process
-// hops, so one job's path through mtlbexp → mtlbd — submit, admission
-// wait, per-cell simulation, result streaming — renders as a single
-// tree. It complements the simulated-cycle Timeline: the Timeline
-// answers "where do the machine's cycles go inside one simulation",
-// the Tracer answers "where does a request's wall time go across the
-// service".
+// This file is the in-process wall-clock tracer: spans with a trace
+// identity (trace ID + parent span ID) that nest into a tree. The
+// benchmark's traced repetition (bench -trace 1) records one span per
+// layer and per runner phase with it, and mtlbchaos -trace records one
+// span per chaos run with each injected fault as a span event. It
+// complements the simulated-cycle Timeline: the Timeline answers
+// "where do the machine's cycles go inside one simulation", the Tracer
+// answers "where does the host's wall time go".
 //
 // Like the rest of the package, tracing costs nothing when it is off:
 // a nil *Tracer hands out nil *Spans, and every Span method is a no-op
 // with zero allocations on a nil receiver, so instrumented paths hold
 // plain pointers and never branch on an enabled flag.
 
-// TraceID identifies one distributed trace (16 bytes, rendered as 32
-// hex digits, as in W3C trace-context).
+// TraceID identifies one trace, a tree of spans (16 bytes, rendered as
+// 32 hex digits).
 type TraceID [16]byte
 
 // IsZero reports whether the ID is unset.
@@ -44,42 +43,11 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
-// SpanContext is the propagated identity of a span: enough for a child
-// — possibly in another process — to attach to it.
+// SpanContext is the identity of a span: enough for a child to attach
+// to it.
 type SpanContext struct {
 	Trace TraceID
 	Span  SpanID
-}
-
-// Valid reports whether the context names a real span.
-func (sc SpanContext) Valid() bool { return !sc.Trace.IsZero() && !sc.Span.IsZero() }
-
-// TraceParent renders the context in the W3C trace-context header
-// format ("00-<trace>-<span>-01"), the form the daemon accepts on
-// POST /v1/jobs.
-func (sc SpanContext) TraceParent() string {
-	return "00-" + sc.Trace.String() + "-" + sc.Span.String() + "-01"
-}
-
-// ParseTraceParent parses a W3C-style traceparent header. Unknown
-// versions are accepted as long as the field shape matches; a malformed
-// or all-zero header returns ok == false (the caller mints a fresh
-// trace instead, never fails the request).
-func ParseTraceParent(h string) (SpanContext, bool) {
-	var sc SpanContext
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
-		return SpanContext{}, false
-	}
-	if _, err := hex.Decode(sc.Trace[:], []byte(h[3:35])); err != nil {
-		return SpanContext{}, false
-	}
-	if _, err := hex.Decode(sc.Span[:], []byte(h[36:52])); err != nil {
-		return SpanContext{}, false
-	}
-	if !sc.Valid() {
-		return SpanContext{}, false
-	}
-	return sc, true
 }
 
 // idState seeds span/trace ID generation once per process from the OS
@@ -433,33 +401,4 @@ func WriteSpanTrace(w io.Writer, spans []SpanRecord) error {
 		procs = append(procs, p)
 	}
 	return WriteTrace(w, procs)
-}
-
-// spanCtxKey carries the active span through a context.Context, so
-// deep layers (the daemon's result cache under the runner pool) can
-// annotate the request that reached them without new plumbing.
-type spanCtxKey struct{}
-
-// ContextWithSpan returns ctx carrying s. A nil span is carried as-is:
-// SpanFromContext then returns nil and every use stays free.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
-}
-
-// Tracer returns the tracer that owns s, or nil — for code that found
-// a span in a context and wants to hang sibling spans off it.
-func (s *Span) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.t
 }

@@ -7,47 +7,6 @@ import (
 	"time"
 )
 
-func TestTraceParentRoundTrip(t *testing.T) {
-	tr := NewTracer("test", nil, 0)
-	s := tr.StartSpan("root", SpanContext{})
-	sc := s.Context()
-	if !sc.Valid() {
-		t.Fatal("started span has invalid context")
-	}
-	hdr := sc.TraceParent()
-	if len(hdr) != 55 {
-		t.Fatalf("traceparent %q: len %d, want 55", hdr, len(hdr))
-	}
-	got, ok := ParseTraceParent(hdr)
-	if !ok {
-		t.Fatalf("ParseTraceParent(%q) rejected", hdr)
-	}
-	if got != sc {
-		t.Fatalf("round trip: got %+v, want %+v", got, sc)
-	}
-}
-
-func TestParseTraceParentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-short-span-01",
-		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16) + "-01", // all zero
-		"00-" + strings.Repeat("g", 32) + "-" + strings.Repeat("1", 16) + "-01", // non-hex
-		strings.Repeat("a", 55),
-	}
-	for _, h := range bad {
-		if _, ok := ParseTraceParent(h); ok {
-			t.Errorf("ParseTraceParent(%q) accepted, want reject", h)
-		}
-	}
-	// A traceparent with extra vendor suffix still parses (W3C allows
-	// future extension after the flags field).
-	good := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	if _, ok := ParseTraceParent(good); !ok {
-		t.Errorf("ParseTraceParent(%q) rejected", good)
-	}
-}
-
 func TestSpanTreeAndJSONLExport(t *testing.T) {
 	var sink bytes.Buffer
 	tr := NewTracer("svc", &sink, 0)
@@ -165,9 +124,9 @@ func TestWriteSpanTracePerfetto(t *testing.T) {
 	}
 }
 
-// TestDisabledTracingAllocatesNothing pins the tentpole property: with
-// tracing off (a nil tracer), the instrumented service path costs zero
-// allocations — spans, attributes, events, context plumbing and all.
+// TestDisabledTracingAllocatesNothing: with tracing off (a nil tracer),
+// an instrumented path costs zero allocations — spans, attributes,
+// events and retroactive records alike.
 func TestDisabledTracingAllocatesNothing(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -175,7 +134,6 @@ func TestDisabledTracingAllocatesNothing(t *testing.T) {
 		s.SetAttr("k", "v")
 		s.Event("ev", "k", "v")
 		_ = s.Context()
-		_ = s.Tracer()
 		tr.RecordSpan("cell", s.Context(), time.Time{}, 0, "k", "v")
 		s.End()
 	})

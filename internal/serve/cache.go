@@ -4,9 +4,7 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 
-	"shadowtlb/internal/obs"
 	"shadowtlb/internal/resultstore"
 	"shadowtlb/internal/sim"
 )
@@ -62,14 +60,7 @@ func NewResultCache(capacity int) *ResultCache {
 // stores its result. The bool reports whether the result was served
 // without running simulate here. Waiting honors ctx; the simulation
 // itself, once started, always completes (on behalf of every waiter).
-//
-// When ctx carries an active span (the daemon's run span), the outcome
-// is annotated onto it: a cache.hit, cache.disk or cache.miss event,
-// or a retroactive cache.wait span covering a coalesced wait — so a
-// job trace shows exactly which cells were free, which were read back
-// from the persistent store, and which paid.
 func (c *ResultCache) Do(ctx context.Context, key string, simulate func() sim.Result) (sim.Result, bool, error) {
-	sp := obs.SpanFromContext(ctx)
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
@@ -77,12 +68,10 @@ func (c *ResultCache) Do(ctx context.Context, key string, simulate func() sim.Re
 			c.hits++
 			res := el.Value.(*cacheEntry).res
 			c.mu.Unlock()
-			sp.Event("cache.hit")
 			return res, true, nil
 		}
 		if f, ok := c.flights[key]; ok {
 			c.mu.Unlock()
-			waitStart := time.Now()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -93,10 +82,6 @@ func (c *ResultCache) Do(ctx context.Context, key string, simulate func() sim.Re
 				c.hits++
 				c.coalesced++
 				c.mu.Unlock()
-				if sp != nil {
-					sp.Tracer().RecordSpan("cache.wait", sp.Context(),
-						waitStart, time.Since(waitStart))
-				}
 				return f.res, true, nil
 			}
 			continue // the leader failed; retry, possibly as the new leader
@@ -118,14 +103,12 @@ func (c *ResultCache) Do(ctx context.Context, key string, simulate func() sim.Re
 				c.disk++
 				c.mu.Unlock()
 				close(f.done)
-				sp.Event("cache.disk")
 				return res, true, nil
 			}
 		}
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		sp.Event("cache.miss")
 		return c.lead(key, f, simulate)
 	}
 }

@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
-
-	"shadowtlb/internal/obs"
 )
 
 // Admission errors. Handlers map them onto status codes; embedding
@@ -37,8 +34,7 @@ type errorBody struct {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs             submit a JobSpec, get {"id": ...} (202);
-//	                            a traceparent header joins the caller's trace
+//	POST   /v1/jobs             submit a JobSpec, get {"id": ...} (202)
 //	GET    /v1/jobs/{id}        job status, result inline when done
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/events NDJSON event stream until terminal
@@ -87,26 +83,26 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A cell spec carrying a
+// full sim.Config is about 1 KiB of JSON, so 1 MiB holds about a
+// thousand of them; experiment jobs send only ids.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit admits a job or rejects it with the admission-control
-// status codes: 400 malformed, 429 queue full (with Retry-After), 503
-// draining.
+// status codes: 400 malformed, 413 body over maxSubmitBytes, 429 queue
+// full (with Retry-After), 503 draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeJobSpec(r.Body)
+	spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
-	// A caller-supplied traceparent joins the job to the client's trace;
-	// a malformed header never fails the request — the daemon just mints
-	// a fresh trace. Parsed only with tracing on, so the disabled path
-	// does not touch headers.
-	var parent obs.SpanContext
-	if s.tracer != nil {
-		if sc, ok := obs.ParseTraceParent(r.Header.Get("traceparent")); ok {
-			parent = sc
-		}
-	}
-	j, err := s.SubmitTraced(spec, parent)
+	j, err := s.Submit(spec)
 	if err != nil {
 		var bad *BadRequestError
 		switch {
@@ -123,9 +119,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, struct {
-		ID    string `json:"id"`
-		Trace string `json:"trace,omitempty"`
-	}{ID: j.ID(), Trace: j.TraceID()})
+		ID string `json:"id"`
+	}{ID: j.ID()})
 }
 
 // handleStatus returns a job's status document; the result rides along
@@ -163,8 +158,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	start := time.Now()
-	span := s.tracer.StartSpan("stream", j.SpanContext())
-	defer span.End()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	next := 0
@@ -182,15 +175,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if sent == 0 && next > 0 {
 			// First flushed line: the stream's time to first byte.
-			ttfb := time.Since(start)
-			s.mStreamTTFB.Observe(uint64(ttfb.Microseconds()))
-			span.SetAttr("ttfb_us", strconv.FormatInt(ttfb.Microseconds(), 10))
+			s.mStreamTTFB.Observe(uint64(time.Since(start).Microseconds()))
 		}
 		sent = next
 		if terminal {
 			// finish appends the final event and the terminal state in
 			// one critical section, so this snapshot is complete.
-			span.SetAttr("events", strconv.Itoa(sent))
 			return
 		}
 		select {
@@ -233,10 +223,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the registry in the caller's preferred encoding:
-// the JSON dump by default (what mtlbload and mtlbtop parse), or the
-// Prometheus text exposition when ?format=prometheus is given or the
-// Accept header asks for text/plain or OpenMetrics. The explicit query
-// parameter wins over Accept.
+// the JSON dump by default, or the Prometheus text exposition when
+// ?format=prometheus is given or the Accept header asks for text/plain
+// or OpenMetrics. The explicit query parameter wins over Accept.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

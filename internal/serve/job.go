@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"shadowtlb/internal/core"
 	"shadowtlb/internal/exp"
 	"shadowtlb/internal/exp/runner"
-	"shadowtlb/internal/obs"
 	"shadowtlb/internal/sim"
 )
 
@@ -23,8 +23,14 @@ type JobSpec struct {
 	// Scale is the workload scale, "paper" (default) or "small".
 	Scale string `json:"scale,omitempty"`
 	// TimeoutMS caps the job's run time; 0 uses the server default.
+	// Admission rejects values below 0 or above maxTimeoutMS, the
+	// largest count of milliseconds a time.Duration holds.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
+
+// maxTimeoutMS is the largest TimeoutMS that converts to a
+// time.Duration without overflow (about 292 years).
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // CellSpec names one simulation cell. The zero-config shortcuts cover
 // the common sweep axes; Config, when set, overrides them with a full
@@ -129,12 +135,8 @@ type Progress struct {
 
 // JobStatus is the GET /v1/jobs/{id} document.
 type JobStatus struct {
-	ID    string   `json:"id"`
-	State JobState `json:"state"`
-	// Trace is the job's trace ID (32 hex digits) when the daemon runs
-	// with tracing on; empty otherwise. Clients log it to correlate a
-	// submission with the daemon's trace file.
-	Trace    string     `json:"trace,omitempty"`
+	ID       string     `json:"id"`
+	State    JobState   `json:"state"`
 	Error    string     `json:"error,omitempty"`
 	Spec     JobSpec    `json:"spec"`
 	Progress Progress   `json:"progress"`
@@ -194,7 +196,6 @@ type Job struct {
 	id        string
 	spec      JobSpec
 	submitted time.Time // admission instant, for queue-wait telemetry
-	span      *obs.Span // root span; nil when tracing is off
 
 	mu       sync.Mutex
 	state    JobState
@@ -223,18 +224,6 @@ func newJob(id string, spec JobSpec) *Job {
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
-
-// SpanContext returns the job's root span identity, zero when the
-// daemon runs without tracing. Stream handlers parent their spans here.
-func (j *Job) SpanContext() obs.SpanContext { return j.span.Context() }
-
-// TraceID returns the job's trace ID string, "" without tracing.
-func (j *Job) TraceID() string {
-	if sc := j.span.Context(); sc.Valid() {
-		return sc.Trace.String()
-	}
-	return ""
-}
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -267,7 +256,6 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID:       j.id,
 		State:    j.state,
-		Trace:    j.TraceID(),
 		Spec:     j.spec,
 		Progress: j.progress,
 		Result:   j.result,
@@ -351,11 +339,6 @@ func (j *Job) finish(res *JobResult, err error) {
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	// The span ends before the terminal state and event become visible:
-	// a client that sees them may read the trace at once, and must find
-	// the job span there.
-	j.span.SetAttr("state", string(state))
-	j.span.End()
 	j.mu.Lock()
 	j.state = state
 	if err == nil {

@@ -93,7 +93,6 @@ type Server struct {
 	queue chan *Job
 
 	reg         *obs.Registry
-	tracer      *obs.Tracer // nil = tracing off; every span path is free
 	mSubmit     *obs.AtomicCounter
 	mRejected   *obs.AtomicCounter
 	mDone       *obs.AtomicCounter
@@ -194,15 +193,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// SetTracer attaches a span tracer; every subsequent job gets a span
-// tree (submit → admission → run → per-cell, plus stream spans). A nil
-// tracer — the default — keeps every instrumented path allocation-free.
-// Call before Start.
-func (s *Server) SetTracer(t *obs.Tracer) { s.tracer = t }
-
-// Tracer returns the attached tracer, nil when tracing is off.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // poolWorkers mirrors runner.New's GOMAXPROCS default without exporting
 // it.
 func poolWorkers(n int) int {
@@ -231,7 +221,7 @@ func (s *Server) SetCacheWrapper(wrap func(runner.ExternalCache) runner.External
 	s.extCache = wrap(s.cache)
 }
 
-// Cache exposes the shared result cache (for load reports and tests).
+// Cache exposes the shared result cache, whose counters tests read.
 func (s *Server) Cache() *ResultCache { return s.cache }
 
 // Registry exposes the server metrics registry.
@@ -274,15 +264,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // ErrDraining when admission is closed, or ErrQueueFull when the
 // bounded queue is at capacity.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	return s.SubmitTraced(spec, obs.SpanContext{})
-}
-
-// SubmitTraced is Submit carrying a caller's trace context — the parent
-// parsed from a traceparent header, or zero to mint a fresh trace. The
-// admitted job's root span adopts the caller's trace, so a client-side
-// tracer and the daemon's agree on one tree. With no tracer attached
-// this is exactly Submit.
-func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext) (*Job, error) {
 	if err := s.validate(spec); err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
@@ -292,8 +273,6 @@ func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext) (*Job, error
 		return nil, ErrDraining
 	}
 	j := newJob(s.newID(), spec)
-	j.span = s.tracer.StartSpan("job", parent)
-	j.span.SetAttr("id", j.id)
 	select {
 	case s.queue <- j:
 		s.admitMu.RUnlock()
@@ -303,8 +282,6 @@ func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext) (*Job, error
 	default:
 		s.admitMu.RUnlock()
 		s.mRejected.Inc()
-		j.span.SetAttr("rejected", "queue_full")
-		j.span.End()
 		return nil, ErrQueueFull
 	}
 }
@@ -352,6 +329,9 @@ func (s *Server) validate(spec JobSpec) error {
 	hasCells, hasExps := len(spec.Cells) > 0, len(spec.Experiments) > 0
 	if hasCells == hasExps {
 		return fmt.Errorf("exactly one of cells or experiments must be set")
+	}
+	if spec.TimeoutMS < 0 || spec.TimeoutMS > maxTimeoutMS {
+		return fmt.Errorf("timeout_ms %d out of range [0, %d]", spec.TimeoutMS, maxTimeoutMS)
 	}
 	scale, err := jobScale(spec)
 	if err != nil {
@@ -406,9 +386,7 @@ func (s *Server) executor() {
 func (s *Server) runJob(j *Job) {
 	s.inflight.Add(1)
 	start := time.Now()
-	wait := start.Sub(j.submitted)
-	s.mAdmitWait.Observe(uint64(wait.Microseconds()))
-	s.tracer.RecordSpan("admission", j.span.Context(), j.submitted, wait)
+	s.mAdmitWait.Observe(uint64(start.Sub(j.submitted).Microseconds()))
 	// end publishes the job's metrics before its terminal state: a
 	// client woken by Done may read /metrics at once, and must find the
 	// job counted there.
@@ -438,10 +416,7 @@ func (s *Server) runJob(j *Job) {
 	j.setCancel(cancel)
 	defer cancel()
 
-	run := s.tracer.StartSpan("run", j.span.Context())
-	res, err := s.execute(obs.ContextWithSpan(ctx, run), j)
-	run.End()
-	end(res, err)
+	end(s.execute(ctx, j))
 }
 
 // execute runs the job's cells or experiments on a fresh pool layered
@@ -468,21 +443,11 @@ func (s *Server) execute(ctx context.Context, j *Job) (res *JobResult, err error
 	} else {
 		pool.UseCache(s.cache)
 	}
-	run := obs.SpanFromContext(ctx)
 	pool.SetCellHook(func(ev runner.CellEvent) {
 		wallUS := uint64(ev.WallNS) / 1000
 		s.mCellWall.Observe(wallUS)
 		if h := s.mCellScheme[ev.Scheme]; h != nil {
 			h.Observe(wallUS)
-		}
-		if run != nil {
-			cached := "false"
-			if ev.Cached {
-				cached = "true"
-			}
-			wall := time.Duration(ev.WallNS)
-			run.Tracer().RecordSpan("cell", run.Context(), time.Now().Add(-wall), wall,
-				"workload", ev.Workload, "scheme", ev.Scheme, "cached", cached)
 		}
 		j.cellDone(ev)
 	})

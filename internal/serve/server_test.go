@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -170,6 +172,24 @@ func TestJobLifecycleAndEvents(t *testing.T) {
 	if st.Result.Cells[0].Key == st.Result.Cells[2].Key {
 		t.Error("distinct cells share a key")
 	}
+
+	// Canceling a finished job changes nothing: it answers 200 with the
+	// job still done.
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr.Body.Close()
+	if cr.StatusCode != http.StatusOK {
+		t.Errorf("cancel of a done job: HTTP %d, want 200", cr.StatusCode)
+	}
+	if st := getStatus(t, ts, id); st.State != StateDone {
+		t.Errorf("canceling a done job moved it to %s", st.State)
+	}
 }
 
 func TestExperimentJobRendersTables(t *testing.T) {
@@ -200,6 +220,12 @@ func TestValidationRejects(t *testing.T) {
 		{Cells: []CellSpec{{Workload: "stride", Scale: "huge"}}},
 		{Experiments: []string{"no-such-experiment"}},
 		{Experiments: []string{"fig3"}, Scale: "huge"},
+		// timeout_ms must be a non-negative count of milliseconds that a
+		// time.Duration holds; larger values would wrap negative.
+		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: -1},
+		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: maxTimeoutMS + 1},
+		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: 1 << 62},
+		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: math.MaxInt64},
 	}
 	for i, spec := range bad {
 		resp := postJob(t, ts, spec)
@@ -208,15 +234,36 @@ func TestValidationRejects(t *testing.T) {
 			t.Errorf("bad spec %d: HTTP %d, want 400", i, resp.StatusCode)
 		}
 	}
-	// Malformed JSON and unknown fields are 400 too.
-	for _, body := range []string{"{", `{"cels": []}`} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	// Malformed JSON and unknown fields are 400. A body one byte over
+	// maxSubmitBytes is 413 and one at the bound is admitted; the padding
+	// sits inside the braces, so the decoder must read to the bound.
+	pad := func(n int, fields string) string {
+		return "{" + strings.Repeat(" ", n-1-len(fields)) + fields
+	}
+	const cheap = `"cells":[{"workload":"stride","tlb":64}],"scale":"small"}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"truncated", "{", http.StatusBadRequest},
+		{"unknown field", `{"cels": []}`, http.StatusBadRequest},
+		{"over the bound", pad(maxSubmitBytes+1, cheap), http.StatusRequestEntityTooLarge},
+		{"at the bound", pad(maxSubmitBytes, cheap), http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&doc)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: HTTP %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s body: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if tc.want != http.StatusAccepted && (err != nil || doc.Error == "") {
+			t.Errorf("%s body: no JSON error document (%v)", tc.name, err)
 		}
 	}
 }
@@ -638,15 +685,53 @@ func TestMetricsPublishedBeforeDone(t *testing.T) {
 
 func TestUnknownJob404(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events"} {
-		resp, err := http.Get(ts.URL + path)
+	for _, r := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs/nope"},
+		{http.MethodGet, "/v1/jobs/nope/events"},
+		{http.MethodDelete, "/v1/jobs/nope"},
+	} {
+		req, err := http.NewRequest(r.method, ts.URL+r.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: HTTP %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s %s: HTTP %d, want 404", r.method, r.path, resp.StatusCode)
 		}
+	}
+}
+
+// TestStoreServesAfterRestart: a daemon started over the store
+// directory a drained daemon left behind serves a repeat experiment job
+// wholly from disk, with no simulation, and renders the same tables.
+func TestStoreServesAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (*Server, JobStatus) {
+		s, ts := startServer(t, Config{StoreDir: dir})
+		st := waitTerminal(t, s, ts, submitOK(t, ts, JobSpec{Experiments: []string{"tlbtime"}, Scale: "small"}))
+		if st.State != StateDone {
+			t.Fatalf("job state %s: %s", st.State, st.Error)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return s, st
+	}
+	_, first := run()
+	s, second := run()
+
+	if _, _, disk, misses := s.Cache().Counters(); misses != 0 || disk == 0 {
+		t.Errorf("restarted daemon: %d misses and %d disk hits, want 0 and at least 1", misses, disk)
+	}
+	if p := second.Progress; p.CellsTotal == 0 || p.CacheHits != p.CellsTotal {
+		t.Errorf("restarted daemon's progress %+v, want every cell a cache hit", p)
+	}
+	if !reflect.DeepEqual(first.Result.Experiments, second.Result.Experiments) {
+		t.Errorf("tables differ across the restart:\n%+v\n%+v", first.Result.Experiments, second.Result.Experiments)
 	}
 }
 
