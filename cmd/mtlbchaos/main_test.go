@@ -1,11 +1,15 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"shadowtlb/internal/core"
 	"shadowtlb/internal/exp"
+	"shadowtlb/internal/obs"
 )
 
 // TestChaosCleanRun runs a bounded chaos sweep: a handful of cells,
@@ -28,6 +32,46 @@ func TestChaosCleanRun(t *testing.T) {
 	}
 	if strings.Contains(sum, "shootdowns=0 ") {
 		t.Fatalf("no shootdowns injected — plans did not fire:\n%s", sum)
+	}
+}
+
+// TestTraceRecordsFaultEvents pins what -trace writes: one chaos.run
+// span per run, each carrying its injected faults as "fault" events.
+func TestTraceRecordsFaultEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep is seconds-long; skipped under -short")
+	}
+	path := filepath.Join(t.TempDir(), "chaos.jsonl")
+	var out, errOut strings.Builder
+	if code := run([]string{"-cells", "2", "-plans", "1", "-trace", path}, &out, &errOut); code != 0 {
+		t.Fatalf("traced chaos run exited %d:\n%s%s", code, out.String(), errOut.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spans, err := obs.ReadSpansJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(" %d runs,", len(spans)); len(spans) == 0 || !strings.Contains(out.String(), want) {
+		t.Fatalf("trace holds %d spans; summary does not report that many runs:\n%s", len(spans), out.String())
+	}
+	faults := 0
+	for _, s := range spans {
+		if s.Name != "chaos.run" || s.Service != "mtlbchaos" {
+			t.Errorf("span %s from %s, want chaos.run from mtlbchaos", s.Name, s.Service)
+		}
+		for _, ev := range s.Events {
+			if ev.Name != "fault" || ev.Attrs["kind"] == "" {
+				t.Errorf("span %s event %+v, want a fault with a kind", s.Attrs["label"], ev)
+			}
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Error("no fault events recorded")
 	}
 }
 

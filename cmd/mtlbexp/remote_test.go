@@ -84,12 +84,33 @@ func TestRemoteMatchesLocalAll(t *testing.T) {
 // artifacts live in the daemon process, are refused with -server.
 func TestRemoteRejectsObsFlags(t *testing.T) {
 	ts := startDaemon(t)
-	var out, errb strings.Builder
-	code := run([]string{"-server", ts.URL, "-exp", "fig3", "-scale", "small", "-metrics", t.TempDir()}, &out, &errb)
-	if code == 0 {
-		t.Fatal("-server with -metrics exited 0")
+	for _, flag := range []string{"-metrics", "-timeline"} {
+		t.Run(flag, func(t *testing.T) {
+			var out, errb strings.Builder
+			code := run([]string{"-server", ts.URL, "-exp", "fig3", "-scale", "small", flag, t.TempDir()}, &out, &errb)
+			if code == 0 {
+				t.Fatalf("-server with %s exited 0", flag)
+			}
+			if !strings.Contains(errb.String(), "-server") || !strings.Contains(errb.String(), flag) {
+				t.Errorf("unhelpful error: %q", errb.String())
+			}
+			if out.Len() != 0 {
+				t.Errorf("refused run wrote to stdout:\n%s", out.String())
+			}
+		})
 	}
-	if !strings.Contains(errb.String(), "-server") {
+}
+
+// TestRemoteRejectsStore checks that -store is refused with -server:
+// the daemon owns the store.
+func TestRemoteRejectsStore(t *testing.T) {
+	ts := startDaemon(t)
+	var out, errb strings.Builder
+	code := run([]string{"-server", ts.URL, "-exp", "fig3", "-scale", "small", "-store", t.TempDir()}, &out, &errb)
+	if code != 2 {
+		t.Fatalf("-server with -store exited %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "-store") || !strings.Contains(errb.String(), "mtlbd -store") {
 		t.Errorf("unhelpful error: %q", errb.String())
 	}
 }

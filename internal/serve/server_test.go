@@ -213,26 +213,38 @@ func TestExperimentJobRendersTables(t *testing.T) {
 
 func TestValidationRejects(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	bad := []JobSpec{
-		{}, // neither cells nor experiments
-		{Cells: []CellSpec{{Workload: "stride"}}, Experiments: []string{"fig3"}}, // both
-		{Cells: []CellSpec{{Workload: "no-such-workload"}}},
-		{Cells: []CellSpec{{Workload: "stride", Scale: "huge"}}},
-		{Experiments: []string{"no-such-experiment"}},
-		{Experiments: []string{"fig3"}, Scale: "huge"},
+	// Each refusal is 400 with the JSON error document.
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"neither cells nor experiments", JobSpec{}},
+		{"both cells and experiments", JobSpec{Cells: []CellSpec{{Workload: "stride"}}, Experiments: []string{"fig3"}}},
+		{"unknown workload", JobSpec{Cells: []CellSpec{{Workload: "no-such-workload"}}}},
+		{"unknown cell scale", JobSpec{Cells: []CellSpec{{Workload: "stride", Scale: "huge"}}}},
+		{"unknown experiment", JobSpec{Experiments: []string{"no-such-experiment"}}},
+		{"unknown job scale", JobSpec{Experiments: []string{"fig3"}, Scale: "huge"}},
 		// timeout_ms must be a non-negative count of milliseconds that a
 		// time.Duration holds; larger values would wrap negative.
-		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: -1},
-		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: maxTimeoutMS + 1},
-		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: 1 << 62},
-		{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: math.MaxInt64},
-	}
-	for i, spec := range bad {
-		resp := postJob(t, ts, spec)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad spec %d: HTTP %d, want 400", i, resp.StatusCode)
-		}
+		{"negative timeout", JobSpec{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: -1}},
+		{"timeout one past the bound", JobSpec{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: maxTimeoutMS + 1}},
+		{"timeout 2^62 ms", JobSpec{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: 1 << 62}},
+		{"timeout MaxInt64 ms", JobSpec{Experiments: []string{"fig3"}, Scale: "small", TimeoutMS: math.MaxInt64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJob(t, ts, tc.spec)
+			var doc struct {
+				Error string `json:"error"`
+			}
+			err := json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("HTTP %d, want 400", resp.StatusCode)
+			}
+			if err != nil || doc.Error == "" {
+				t.Errorf("no JSON error document (%v)", err)
+			}
+		})
 	}
 	// Malformed JSON and unknown fields are 400. A body one byte over
 	// maxSubmitBytes is 413 and one at the bound is admitted; the padding
@@ -245,26 +257,40 @@ func TestValidationRejects(t *testing.T) {
 		name, body string
 		want       int
 	}{
-		{"truncated", "{", http.StatusBadRequest},
+		{"truncated body", "{", http.StatusBadRequest},
 		{"unknown field", `{"cels": []}`, http.StatusBadRequest},
-		{"over the bound", pad(maxSubmitBytes+1, cheap), http.StatusRequestEntityTooLarge},
-		{"at the bound", pad(maxSubmitBytes, cheap), http.StatusAccepted},
+		{"body over the bound", pad(maxSubmitBytes+1, cheap), http.StatusRequestEntityTooLarge},
+		{"body at the bound", pad(maxSubmitBytes, cheap), http.StatusAccepted},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Error string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s body: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
-		}
-		if tc.want != http.StatusAccepted && (err != nil || doc.Error == "") {
-			t.Errorf("%s body: no JSON error document (%v)", tc.name, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("HTTP %d, want %d", resp.StatusCode, tc.want)
+			}
+			if tc.want != http.StatusAccepted && (err != nil || doc.Error == "") {
+				t.Errorf("no JSON error document (%v)", err)
+			}
+		})
+	}
+}
+
+// TestLargestTimeoutRunsToDone: the largest admitted timeout_ms becomes
+// a deadline centuries away, so the job runs to done instead of wrapping
+// into an instant cancel.
+func TestLargestTimeoutRunsToDone(t *testing.T) {
+	s, ts := startServer(t, Config{})
+	spec := cheapSpec(64)
+	spec.TimeoutMS = maxTimeoutMS
+	if st := waitTerminal(t, s, ts, submitOK(t, ts, spec)); st.State != StateDone {
+		t.Fatalf("job with timeout_ms %d: state %s (%s)", spec.TimeoutMS, st.State, st.Error)
 	}
 }
 
@@ -277,21 +303,26 @@ func TestSchemeAdmission(t *testing.T) {
 	s, ts := startServer(t, Config{})
 
 	fullCfg := sim.Default().WithMTLB(core.DefaultMTLBConfig()).WithScheme("bogus")
-	for i, spec := range []JobSpec{
-		{Cells: []CellSpec{{Workload: "stride", MTLB: 128, Scheme: "bogus"}}, Scale: "small"},
-		{Cells: []CellSpec{{Workload: "stride", Config: &fullCfg}}, Scale: "small"},
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"shortcut field", JobSpec{Cells: []CellSpec{{Workload: "stride", MTLB: 128, Scheme: "bogus"}}, Scale: "small"}},
+		{"full config", JobSpec{Cells: []CellSpec{{Workload: "stride", Config: &fullCfg}}, Scale: "small"}},
 	} {
-		resp := postJob(t, ts, spec)
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("spec %d: HTTP %d, want 400", i, resp.StatusCode)
-		}
-		for _, want := range append([]string{"bogus"}, core.SchemeNames()...) {
-			if !strings.Contains(string(body), want) {
-				t.Errorf("spec %d: 400 body %q does not name %q", i, body, want)
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJob(t, ts, tc.spec)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("HTTP %d, want 400", resp.StatusCode)
 			}
-		}
+			for _, want := range append([]string{"bogus"}, core.SchemeNames()...) {
+				if !strings.Contains(string(body), want) {
+					t.Errorf("400 body %q does not name %q", body, want)
+				}
+			}
+		})
 	}
 
 	id := submitOK(t, ts, JobSpec{
@@ -685,23 +716,25 @@ func TestMetricsPublishedBeforeDone(t *testing.T) {
 
 func TestUnknownJob404(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	for _, r := range []struct{ method, path string }{
-		{http.MethodGet, "/v1/jobs/nope"},
-		{http.MethodGet, "/v1/jobs/nope/events"},
-		{http.MethodDelete, "/v1/jobs/nope"},
+	for _, r := range []struct{ name, method, path string }{
+		{"status", http.MethodGet, "/v1/jobs/nope"},
+		{"events", http.MethodGet, "/v1/jobs/nope/events"},
+		{"cancel", http.MethodDelete, "/v1/jobs/nope"},
 	} {
-		req, err := http.NewRequest(r.method, ts.URL+r.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s %s: HTTP %d, want 404", r.method, r.path, resp.StatusCode)
-		}
+		t.Run(r.name, func(t *testing.T) {
+			req, err := http.NewRequest(r.method, ts.URL+r.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: HTTP %d, want 404", r.method, r.path, resp.StatusCode)
+			}
+		})
 	}
 }
 

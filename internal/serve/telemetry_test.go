@@ -93,6 +93,41 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	}
 }
 
+// TestUntracedServerOmitsTraceFields: the daemon records no job spans,
+// so its API documents are byte-identical to the pre-telemetry daemon:
+// no trace key in the submit response, the status document or the
+// event stream.
+func TestUntracedServerOmitsTraceFields(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	resp := postJob(t, ts, cheapSpec(64))
+	accepted, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var out struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(accepted, &out); err != nil || out.ID == "" {
+		t.Fatalf("submit response %q: %v", accepted, err)
+	}
+	waitTerminal(t, s, ts, out.ID)
+	docs := map[string][]byte{"submit response": accepted}
+	for name, path := range map[string]string{
+		"status document": "/v1/jobs/" + out.ID,
+		"event stream":    "/v1/jobs/" + out.ID + "/events",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name], _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	for name, raw := range docs {
+		if strings.Contains(string(raw), `"trace"`) {
+			t.Errorf("%s carries a trace field:\n%s", name, raw)
+		}
+	}
+}
+
 // TestStreamTelemetry: consuming an event stream records a TTFB sample.
 func TestStreamTelemetry(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1})
