@@ -104,6 +104,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mtlbexp: -metrics and -timeline are not supported with -server (per-cell sessions live in the daemon)")
 			return 2
 		}
+		schemeSet := false
+		fs.Visit(func(f *flag.Flag) { schemeSet = schemeSet || f.Name == "scheme" })
+		if schemeSet {
+			fmt.Fprintln(stderr, "mtlbexp: -scheme is not supported with -server (the daemon renders experiments with its own scheme)")
+			return 2
+		}
 		return runRemote(*server, *name, descs, s, *csv, *jsonOut, *pstats, stdout, stderr)
 	}
 

@@ -81,15 +81,21 @@ func TestRemoteMatchesLocalAll(t *testing.T) {
 }
 
 // TestRemoteRejectsObsFlags checks that observability flags, whose
-// artifacts live in the daemon process, are refused with -server.
+// artifacts live in the daemon process, are refused with -server, and
+// so is -scheme, which the daemon would ignore: it renders experiments
+// with its own scheme.
 func TestRemoteRejectsObsFlags(t *testing.T) {
 	ts := startDaemon(t)
-	for _, flag := range []string{"-metrics", "-timeline"} {
+	for _, flag := range []string{"-metrics", "-timeline", "-scheme"} {
 		t.Run(flag, func(t *testing.T) {
+			value := t.TempDir()
+			if flag == "-scheme" {
+				value = "coalesced"
+			}
 			var out, errb strings.Builder
-			code := run([]string{"-server", ts.URL, "-exp", "fig3", "-scale", "small", flag, t.TempDir()}, &out, &errb)
-			if code == 0 {
-				t.Fatalf("-server with %s exited 0", flag)
+			code := run([]string{"-server", ts.URL, "-exp", "fig3", "-scale", "small", flag, value}, &out, &errb)
+			if code != 2 {
+				t.Fatalf("-server with %s exited %d, want 2", flag, code)
 			}
 			if !strings.Contains(errb.String(), "-server") || !strings.Contains(errb.String(), flag) {
 				t.Errorf("unhelpful error: %q", errb.String())

@@ -167,7 +167,7 @@ func (f *ObsFlags) WriteTimeline(stderr io.Writer, named []NamedTimeline) error 
 			continue
 		}
 		if d := nt.TL.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "warning: timeline %s dropped %d events (cap %d); raise obs.Options.MaxTimelineEvents\n",
+			fmt.Fprintf(stderr, "warning: timeline %s dropped %d events past its fixed cap of %d\n",
 				nt.Name, d, obs.DefaultMaxTimelineEvents)
 		}
 		procs = append(procs, obs.Process{

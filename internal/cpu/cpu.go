@@ -121,17 +121,11 @@ type CPU struct {
 	Work Work
 }
 
-// New wires a CPU to the machine. The TLB, ITLB, cache, MMC and kernel
-// must be the same instances the VM was built with.
-func New(cfg Config, v *vm.VM) *CPU {
-	return NewOnTLBs(cfg, v, v.CPUTLB, v.ITLB)
-}
-
 // NewOnTLBs wires a processor with an explicit TLB and micro-ITLB over
-// a (possibly shared) address space. This is the multicore path: each
-// processor owns private translation hardware and a private fast-path
-// memo, while the VM — and through it the cache, MMC and kernel — is
-// shared by every CPU of the machine.
+// a (possibly shared) address space. Each processor owns private
+// translation hardware and a private fast-path memo, while the VM — and
+// through it the cache, MMC and kernel — may be shared by every CPU of
+// the machine.
 func NewOnTLBs(cfg Config, v *vm.VM, t *tlb.TLB, it *tlb.MicroITLB) *CPU {
 	if cfg.TLBEntries <= 0 || cfg.TextPages <= 0 || cfg.IFetchPeriod <= 0 {
 		panic(fmt.Sprintf("cpu: bad config %+v", cfg))

@@ -48,7 +48,7 @@ func testCPU(t *testing.T, withMTLB bool, tlbEntries int) *CPU {
 		Kernel:      kernel.New(kernel.DefaultCosts()),
 		ShadowAlloc: alloc, STable: stable,
 	})
-	return New(Config{TLBEntries: tlbEntries, TextPages: 4, IFetchPeriod: 100}, v)
+	return NewOnTLBs(Config{TLBEntries: tlbEntries, TextPages: 4, IFetchPeriod: 100}, v, v.CPUTLB, v.ITLB)
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
@@ -283,7 +283,7 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New(Config{}, nil)
+	NewOnTLBs(Config{}, nil, nil, nil)
 }
 
 func TestTimerInterruptsAccounted(t *testing.T) {

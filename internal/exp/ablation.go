@@ -85,11 +85,6 @@ func AblationAllocatorOn(r Runner, scale Scale) AblationAllocatorResult {
 	return res
 }
 
-// AblationAllocator runs the comparison on a private serial runner.
-func AblationAllocator(scale Scale) AblationAllocatorResult {
-	return AblationAllocatorOn(NewMemo(), scale)
-}
-
 // AblationCheckResult isolates the paper's conservative +1 MMC cycle per
 // operation (§2.2) against their "most recent design work", which hides
 // the shadow check behind bus interface operations.
@@ -138,11 +133,6 @@ func AblationCheckOn(r Runner, scale Scale) AblationCheckResult {
 	return res
 }
 
-// AblationCheck runs the comparison on a private serial runner.
-func AblationCheck(scale Scale) AblationCheckResult {
-	return AblationCheckOn(NewMemo(), scale)
-}
-
 // AblationFillResult compares the paper's hardware MTLB fill (a single
 // indexed DRAM read, §2.2) against a software-managed fill, modelled as
 // a trap-cost-sized MMC stall per miss.
@@ -183,11 +173,6 @@ func AblationFillOn(r Runner, scale Scale) AblationFillResult {
 	t.AddRow("software (trap-based)", mcycles(res.SoftwareCycles), pct(res.Slowdown))
 	res.Table = t
 	return res
-}
-
-// AblationFill runs the comparison on a private serial runner.
-func AblationFill(scale Scale) AblationFillResult {
-	return AblationFillOn(NewMemo(), scale)
 }
 
 // AblationRefBitsResult quantifies §2.5's caveat: the MMC only sees
@@ -313,9 +298,4 @@ func AblationDRAMOn(r Runner, scale Scale) AblationDRAMResult {
 		pct(res.Em3dRowHitRate))
 	res.Table = t
 	return res
-}
-
-// AblationDRAM runs the comparison on a private serial runner.
-func AblationDRAM(scale Scale) AblationDRAMResult {
-	return AblationDRAMOn(NewMemo(), scale)
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"shadowtlb/internal/core"
 	"shadowtlb/internal/obs"
@@ -98,51 +97,9 @@ func (c Cell) SimulateObserved(o *obs.Obs) sim.Result {
 
 // Runner executes cells on behalf of experiments. Implementations must
 // be safe for concurrent use and must return the same result for cells
-// with equal keys within one invocation. The serial Memo below serves
-// single-experiment calls; internal/exp/runner provides the worker-pool
-// implementation that parallelizes and shares cells across experiments.
+// with equal keys within one invocation. internal/exp/runner's Pool is
+// the implementation: it parallelizes and shares cells across
+// experiments.
 type Runner interface {
 	Result(Cell) sim.Result
-}
-
-// Memo is the minimal Runner: it simulates each distinct cell once, on
-// the calling goroutine, and caches the result by cell key.
-type Memo struct {
-	mu      sync.Mutex
-	results map[string]sim.Result
-	sims    int
-}
-
-// NewMemo returns an empty memoizing runner.
-func NewMemo() *Memo {
-	return &Memo{results: make(map[string]sim.Result)}
-}
-
-// Result returns the cell's result, simulating on first request.
-func (m *Memo) Result(c Cell) sim.Result {
-	key := c.Key()
-	m.mu.Lock()
-	if r, ok := m.results[key]; ok {
-		m.mu.Unlock()
-		return r
-	}
-	m.mu.Unlock()
-	r := c.Simulate()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Another goroutine may have raced us to the same cell; keep the
-	// first result so every caller observes one value.
-	if prev, ok := m.results[key]; ok {
-		return prev
-	}
-	m.results[key] = r
-	m.sims++
-	return r
-}
-
-// Simulated reports how many distinct cells this runner has executed.
-func (m *Memo) Simulated() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sims
 }

@@ -134,22 +134,3 @@ func TestCellKeyDistinguishesWorkloadAndScale(t *testing.T) {
 		t.Errorf("equivalent configs key differently:\n%s\n%s", a.Key(), b.Key())
 	}
 }
-
-// TestMemoSimulatesOnce verifies the serial runner's cache: requesting
-// the same cell twice simulates once and returns identical results.
-func TestMemoSimulatesOnce(t *testing.T) {
-	m := NewMemo()
-	c := NewCell(baseConfig().WithTLB(64), "radix", Small)
-	r1 := m.Result(c)
-	r2 := m.Result(NewCell(baseConfig().WithTLB(64), "radix", Small))
-	if m.Simulated() != 1 {
-		t.Errorf("Simulated = %d, want 1", m.Simulated())
-	}
-	if r1 != r2 {
-		t.Error("cached result differs from first result")
-	}
-	m.Result(NewCell(baseConfig().WithTLB(96), "radix", Small))
-	if m.Simulated() != 2 {
-		t.Errorf("Simulated = %d, want 2", m.Simulated())
-	}
-}

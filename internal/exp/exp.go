@@ -186,16 +186,6 @@ func AllWorkloadNames() []string {
 	return names
 }
 
-// Workloads returns fresh instances of the five benchmark programs at
-// the given scale, in the paper's reporting order.
-func Workloads(s Scale) []workload.Workload {
-	ws := make([]workload.Workload, 0, len(paperWorkloads))
-	for _, name := range paperWorkloads {
-		ws = append(ws, workloadMakers[name](s))
-	}
-	return ws
-}
-
 // HasWorkload reports whether name is a constructible workload, without
 // building it — admission checks in the daemon validate job specs this
 // way before any memory is committed.

@@ -1,14 +1,29 @@
-package exp
+package exp_test
 
 import (
 	"strings"
 	"testing"
 
 	"shadowtlb/internal/arch"
+	"shadowtlb/internal/exp"
+	"shadowtlb/internal/exp/runner"
 )
 
+// warmed returns a runner pool warmed with experiment id's small-scale
+// cells, the way mtlbexp runs an experiment.
+func warmed(t *testing.T, id string) *runner.Pool {
+	t.Helper()
+	d, ok := exp.Lookup(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	p := runner.New(0)
+	p.Warm(d.Cells(exp.Small))
+	return p
+}
+
 func TestFig2(t *testing.T) {
-	r := Fig2()
+	r := exp.Fig2()
 	if r.TotalExtent != 512*arch.MB {
 		t.Errorf("TotalExtent = %d, want 512MB", r.TotalExtent)
 	}
@@ -24,12 +39,11 @@ func TestFig2(t *testing.T) {
 }
 
 func TestFig3SmallShape(t *testing.T) {
-	r := Fig3(Small)
+	r := exp.Fig3On(warmed(t, "fig3"), exp.Small)
 	if len(r.Cells) != 5*2*3 {
 		t.Fatalf("cells = %d, want 30", len(r.Cells))
 	}
-	for _, w := range Workloads(Small) {
-		name := w.Name()
+	for _, name := range exp.WorkloadNames() {
 		// Baseline runtimes must not increase with TLB size.
 		c64 := r.Cell(name, 64, false)
 		c96 := r.Cell(name, 96, false)
@@ -52,8 +66,8 @@ func TestFig3SmallShape(t *testing.T) {
 }
 
 func TestFig4SmallShape(t *testing.T) {
-	r := Fig4(Small)
-	if len(r.Cells) != len(Fig4Configs) {
+	r := exp.Fig4On(warmed(t, "fig4"), exp.Small)
+	if len(r.Cells) != len(exp.Fig4Configs) {
 		t.Fatalf("cells = %d", len(r.Cells))
 	}
 	// Larger+more associative MTLBs never raise the average fill time.
@@ -73,7 +87,7 @@ func TestFig4SmallShape(t *testing.T) {
 }
 
 func TestInitCostsMatchesPaperAccounting(t *testing.T) {
-	r := InitCosts()
+	r := exp.InitCosts()
 	if r.Pages != 1120 {
 		t.Errorf("Pages = %d, want 1120", r.Pages)
 	}
@@ -95,7 +109,7 @@ func TestInitCostsMatchesPaperAccounting(t *testing.T) {
 }
 
 func TestSwapSavings(t *testing.T) {
-	r := Swap()
+	r := exp.Swap()
 	for _, c := range r.Cells {
 		if c.SuperGrainIO != c.PagesExamined {
 			t.Errorf("superpage grain must write everything: %d != %d", c.SuperGrainIO, c.PagesExamined)
@@ -116,14 +130,14 @@ func TestSwapSavings(t *testing.T) {
 }
 
 func TestSPCountMatchesPaper(t *testing.T) {
-	r := SPCount()
+	r := exp.SPCount()
 	if !r.AllMatch {
 		t.Errorf("superpage counts diverge from paper:\n%s", r.Table)
 	}
 }
 
 func TestAblationAllocator(t *testing.T) {
-	r := AblationAllocator(Small)
+	r := exp.AblationAllocatorOn(warmed(t, "ablation-allocator"), exp.Small)
 	if !r.BucketExhausted {
 		t.Error("bucket allocator should exhaust at 300 x 64KB (partition has 256)")
 	}
@@ -139,7 +153,7 @@ func TestAblationAllocator(t *testing.T) {
 }
 
 func TestAblationCheck(t *testing.T) {
-	r := AblationCheck(Small)
+	r := exp.AblationCheckOn(warmed(t, "ablation-check"), exp.Small)
 	if r.NoCheck >= r.WithCheck {
 		t.Error("hiding the check cycle should not slow the system")
 	}
@@ -149,14 +163,14 @@ func TestAblationCheck(t *testing.T) {
 }
 
 func TestAblationFill(t *testing.T) {
-	r := AblationFill(Small)
+	r := exp.AblationFillOn(warmed(t, "ablation-fill"), exp.Small)
 	if r.SoftwareCycles <= r.HardwareCycles {
 		t.Error("software fill should be slower")
 	}
 }
 
 func TestAblationRefBits(t *testing.T) {
-	r := AblationRefBits()
+	r := exp.AblationRefBits()
 	// The cache-warm rescan is invisible to the MMC: coverage well
 	// below 100% demonstrates the paper's caveat.
 	if r.Coverage > 0.5 {
@@ -168,19 +182,19 @@ func TestAblationRefBits(t *testing.T) {
 }
 
 func TestMakeWorkloadUnknown(t *testing.T) {
-	if _, err := MakeWorkload("nope", Small); err == nil {
+	if _, err := exp.MakeWorkload("nope", exp.Small); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestScaleString(t *testing.T) {
-	if Small.String() != "small" || Paper.String() != "paper" {
+	if exp.Small.String() != "small" || exp.Paper.String() != "paper" {
 		t.Error("scale strings wrong")
 	}
 }
 
 func TestAblationDRAM(t *testing.T) {
-	r := AblationDRAM(Small)
+	r := exp.AblationDRAMOn(warmed(t, "ablation-dram"), exp.Small)
 	// Radix's sequential fills must enjoy a much higher row hit rate
 	// than em3d's scattered ones.
 	if r.RadixRowHitRate <= r.Em3dRowHitRate {
@@ -197,5 +211,28 @@ func TestAblationDRAM(t *testing.T) {
 	if radixGain <= em3dGain {
 		t.Errorf("banked DRAM should favour streaming: radix %.3f vs em3d %.3f",
 			radixGain, em3dGain)
+	}
+}
+
+// TestSMPFamilyShape pins the family's structure: every cell simulates,
+// reports its CPU count, and no uniprocessor cell reports a multicore
+// overhead.
+func TestSMPFamilyShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full smp family; skipped under -short")
+	}
+	res := exp.SMPOn(warmed(t, "smp"), exp.Small)
+	want := len(exp.SMPWorkloadNames()) * 2 * len(exp.SMPCPUCounts)
+	if len(res.Cells) != want {
+		t.Fatalf("cells = %d, want %d", len(res.Cells), want)
+	}
+	for _, c := range res.Cells {
+		if c.MachineCycles == 0 {
+			t.Errorf("%s/%v/%d: zero machine cycles", c.Workload, c.MTLB, c.CPUs)
+		}
+		if c.CPUs == 1 && (c.IPIs != 0 || c.BusStallCycles != 0 || c.BarrierCycles != 0) {
+			t.Errorf("%s/%v/1: uniprocessor reports multicore overheads %+v",
+				c.Workload, c.MTLB, c)
+		}
 	}
 }

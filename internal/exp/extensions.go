@@ -117,9 +117,6 @@ func StreamOn(r Runner, scale Scale) StreamResult {
 	return res
 }
 
-// Stream runs the comparison on a private serial runner.
-func Stream(scale Scale) StreamResult { return StreamOn(NewMemo(), scale) }
-
 // RecolorResult quantifies no-copy page recoloring on a physically
 // indexed cache: hot pages that share a color conflict-miss on every
 // alternation until the OS recolors them apart through shadow space.

@@ -1,9 +1,13 @@
-package exp
+package exp_test
 
-import "testing"
+import (
+	"testing"
+
+	"shadowtlb/internal/exp"
+)
 
 func TestPromotionExtension(t *testing.T) {
-	r := Promotion()
+	r := exp.Promotion()
 	if r.Promotions == 0 {
 		t.Fatal("policy never promoted the hot region")
 	}
@@ -19,7 +23,7 @@ func TestPromotionExtension(t *testing.T) {
 }
 
 func TestStreamExtension(t *testing.T) {
-	r := Stream(Small)
+	r := exp.StreamOn(warmed(t, "ext-stream"), exp.Small)
 	if r.StreamHits == 0 {
 		t.Fatal("no stream hits on radix (sequential fills expected)")
 	}
@@ -32,7 +36,7 @@ func TestStreamExtension(t *testing.T) {
 }
 
 func TestMultiprogExtension(t *testing.T) {
-	r := Multiprog()
+	r := exp.Multiprog()
 	if r.Speedup < 1.1 {
 		t.Errorf("MTLB multiprogramming speedup = %.2f, expected substantial", r.Speedup)
 	}
@@ -46,7 +50,7 @@ func TestMultiprogExtension(t *testing.T) {
 }
 
 func TestRecolorExtension(t *testing.T) {
-	r := Recolor()
+	r := exp.Recolor()
 	if r.MissesBefore == 0 {
 		t.Fatal("same-color pages did not conflict")
 	}

@@ -94,6 +94,3 @@ func Fig3On(r Runner, scale Scale) Fig3Result {
 	}
 	return res
 }
-
-// Fig3 runs the figure on a private serial runner.
-func Fig3(scale Scale) Fig3Result { return Fig3On(NewMemo(), scale) }

@@ -100,6 +100,3 @@ func Fig4On(r Runner, scale Scale) Fig4Result {
 	}
 	return res
 }
-
-// Fig4 runs the figure on a private serial runner.
-func Fig4(scale Scale) Fig4Result { return Fig4On(NewMemo(), scale) }

@@ -80,6 +80,3 @@ func ReachOn(r Runner, scale Scale) ReachResult {
 	}
 	return res
 }
-
-// Reach runs the comparison on a private serial runner.
-func Reach(scale Scale) ReachResult { return ReachOn(NewMemo(), scale) }

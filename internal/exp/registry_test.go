@@ -1,10 +1,12 @@
-package exp
+package exp_test
 
 import (
 	"reflect"
 	"sync"
 	"testing"
 
+	"shadowtlb/internal/exp"
+	"shadowtlb/internal/exp/runner"
 	"shadowtlb/internal/sim"
 )
 
@@ -22,11 +24,11 @@ func TestRegistryOrder(t *testing.T) {
 		// schemes section immediately following it.
 		"schemes", "smp",
 	}
-	if got := IDs(); !reflect.DeepEqual(got, want) {
+	if got := exp.IDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("IDs() = %v, want %v", got, want)
 	}
 	for _, id := range want {
-		d, ok := Lookup(id)
+		d, ok := exp.Lookup(id)
 		if !ok {
 			t.Errorf("Lookup(%q) missing", id)
 			continue
@@ -35,20 +37,20 @@ func TestRegistryOrder(t *testing.T) {
 			t.Errorf("descriptor %q malformed: %+v", id, d)
 		}
 	}
-	if _, ok := Lookup("nope"); ok {
+	if _, ok := exp.Lookup("nope"); ok {
 		t.Error("Lookup of unknown id succeeded")
 	}
 }
 
 // recordingRunner wraps a Runner and records the keys requested of it.
 type recordingRunner struct {
-	inner Runner
+	inner exp.Runner
 
 	mu   sync.Mutex
 	keys map[string]bool
 }
 
-func (r *recordingRunner) Result(c Cell) sim.Result {
+func (r *recordingRunner) Result(c exp.Cell) sim.Result {
 	r.mu.Lock()
 	r.keys[c.Key()] = true
 	r.mu.Unlock()
@@ -61,21 +63,23 @@ func (r *recordingRunner) Result(c Cell) sim.Result {
 // declares (prewarming covers everything, and nothing is declared that
 // is never used).
 func TestDescriptorsDeclareTheirCells(t *testing.T) {
-	shared := NewMemo() // share simulations across experiments, as -exp all does
-	for _, d := range Descriptors() {
+	shared := runner.New(0) // share simulations across experiments, as -exp all does
+	for _, d := range exp.Descriptors() {
 		if d.Cells == nil {
 			continue
 		}
+		cells := d.Cells(exp.Small)
 		declared := map[string]bool{}
-		for _, c := range d.Cells(Small) {
+		for _, c := range cells {
 			declared[c.Key()] = true
 		}
 		if len(declared) == 0 {
 			t.Errorf("%s: declares no cells", d.ID)
 			continue
 		}
+		shared.Warm(cells)
 		rec := &recordingRunner{inner: shared, keys: map[string]bool{}}
-		if tables := d.Tables(rec, Small); len(tables) == 0 {
+		if tables := d.Tables(rec, exp.Small); len(tables) == 0 {
 			t.Errorf("%s: no tables", d.ID)
 		}
 		for k := range rec.keys {

@@ -120,6 +120,3 @@ func SchemesOn(r Runner, scale Scale) SchemesResult {
 	}
 	return res
 }
-
-// Schemes runs the head-to-head on a private serial runner.
-func Schemes(scale Scale) SchemesResult { return SchemesOn(NewMemo(), scale) }

@@ -1,10 +1,11 @@
-package exp
+package exp_test
 
 import (
 	"strings"
 	"testing"
 
 	"shadowtlb/internal/core"
+	"shadowtlb/internal/exp"
 )
 
 // TestSchemesExperimentShape runs the head-to-head family at small
@@ -12,15 +13,16 @@ import (
 // registered backend for every paper workload, sane normalization, and
 // backend measurements present exactly where a backend ran.
 func TestSchemesExperimentShape(t *testing.T) {
-	r := Schemes(Small)
+	r := exp.SchemesOn(warmed(t, "schemes"), exp.Small)
+	paper := exp.WorkloadNames()
 	names := core.SchemeNames()
 	if len(r.Schemes) != len(names) || r.Schemes[0] != core.DefaultScheme {
 		t.Fatalf("Schemes = %v, want %v", r.Schemes, names)
 	}
-	if want := len(paperWorkloads) * (1 + len(names)); len(r.Cells) != want {
+	if want := len(paper) * (1 + len(names)); len(r.Cells) != want {
 		t.Fatalf("cells = %d, want %d", len(r.Cells), want)
 	}
-	for _, w := range paperWorkloads {
+	for _, w := range paper {
 		ref := r.Cell(w, "none")
 		if ref.Normalized != 1.0 {
 			t.Errorf("%s: reference normalization = %v", w, ref.Normalized)
@@ -52,7 +54,7 @@ func TestSchemesExperimentShape(t *testing.T) {
 	}
 	// Both tables render every (workload, scheme) row.
 	outA, outB := r.TableA.String(), r.TableB.String()
-	for _, w := range paperWorkloads {
+	for _, w := range paper {
 		for _, label := range append([]string{"none"}, names...) {
 			if !strings.Contains(outA, w) || !strings.Contains(outA, label) {
 				t.Errorf("table A missing %s/%s:\n%s", w, label, outA)

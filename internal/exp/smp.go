@@ -140,6 +140,3 @@ func SMPOn(r Runner, scale Scale) SMPResult {
 	}
 	return res
 }
-
-// SMP runs the multicore family on a private serial runner.
-func SMP(scale Scale) SMPResult { return SMPOn(NewMemo(), scale) }

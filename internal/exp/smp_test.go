@@ -51,26 +51,3 @@ func TestSMPDeterministic(t *testing.T) {
 		})
 	}
 }
-
-// TestSMPFamilyShape pins the family's structure: every cell simulates,
-// reports its CPU count, and no uniprocessor cell reports a multicore
-// overhead.
-func TestSMPFamilyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full smp family; skipped under -short")
-	}
-	res := SMP(Small)
-	want := len(SMPWorkloadNames()) * 2 * len(SMPCPUCounts)
-	if len(res.Cells) != want {
-		t.Fatalf("cells = %d, want %d", len(res.Cells), want)
-	}
-	for _, c := range res.Cells {
-		if c.MachineCycles == 0 {
-			t.Errorf("%s/%v/%d: zero machine cycles", c.Workload, c.MTLB, c.CPUs)
-		}
-		if c.CPUs == 1 && (c.IPIs != 0 || c.BusStallCycles != 0 || c.BarrierCycles != 0) {
-			t.Errorf("%s/%v/1: uniprocessor reports multicore overheads %+v",
-				c.Workload, c.MTLB, c)
-		}
-	}
-}

@@ -90,6 +90,3 @@ func TLBTimeOn(r Runner, scale Scale) TLBTimeResult {
 	}
 	return res
 }
-
-// TLBTime runs the sweep on a private serial runner.
-func TLBTime(scale Scale) TLBTimeResult { return TLBTimeOn(NewMemo(), scale) }

@@ -55,6 +55,65 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // between returns a value in [lo, hi].
 func (r *rng) between(lo, hi int) int { return lo + r.intn(hi-lo+1) }
 
+// injector is what Injector and SMPInjector share: the plan's random
+// stream, the fault channels both machines have — forced page-outs and
+// MMC fill delays — and the fault observer.
+type injector struct {
+	rng                   rng
+	delayPct, delayCycles int // fill-delay chance (percent) and size
+
+	SwapOuts   uint64 // forced page-outs that evicted ≥ 1 page
+	FillDelays uint64 // delayed MMC line fills
+
+	// OnFault, when set, observes every delivered fault by kind
+	// ("swap_out", "fill_delay", and the machine's own: "shootdown" and
+	// "mid_remap_purge", or "storm") the moment it is injected — the
+	// chaos harness annotates each as a span event so a trace shows
+	// exactly where plans fired. Set before the run; called from the
+	// simulation goroutine.
+	OnFault func(kind string)
+}
+
+// fault counts one delivered fault and notifies the observer.
+func (inj *injector) fault(counter *uint64, kind string) {
+	*counter++
+	if inj.OnFault != nil {
+		inj.OnFault(kind)
+	}
+}
+
+// fillDelay is the MMC hook: a random fraction of line fills take extra
+// cycles, modelling contended or refreshing DRAM.
+func (inj *injector) fillDelay() int {
+	if inj.rng.intn(100) >= inj.delayPct {
+		return 0
+	}
+	inj.fault(&inj.FillDelays, "fill_delay")
+	return inj.delayCycles
+}
+
+// forceSwapOut pages out a random superpage of address space v,
+// simulating the page-out daemon striking under memory pressure the
+// workload didn't create. The next access to the superpage takes the
+// MTLB fault-bit path and pages back in at 4 KB grain; on a shared
+// multicore address space the remap path broadcasts real shootdown
+// IPIs to every other CPU. Kernel cycles are discarded (correctness
+// harness, not a cost model).
+func (inj *injector) forceSwapOut(v *vm.VM) {
+	if !v.HasShadow() {
+		return
+	}
+	sps := v.Superpages()
+	if len(sps) == 0 {
+		return
+	}
+	sp := sps[inj.rng.intn(len(sps))]
+	res, err := v.SwapOutSuperpage(sp, vm.PageGrain)
+	if err == nil && res.PagesExamined > 0 {
+		inj.fault(&inj.SwapOuts, "swap_out")
+	}
+}
+
 // Plan is one deterministic fault schedule. Machine-side fields drive
 // Attach; the Cache* fields parameterize a ChaosCache for the daemon's
 // result-cache path. Zero values disable the corresponding fault.
@@ -113,31 +172,14 @@ func (p Plan) String() string {
 // Injector is a plan attached to one system. Its counters report what
 // was actually injected, so a chaos run can prove its plans fired.
 type Injector struct {
+	injector
 	Plan Plan
 
 	sys    *sim.System
-	rng    rng
 	quanta uint64
 
-	SwapOuts       uint64 // forced page-outs that evicted ≥ 1 page
 	Shootdowns     uint64 // full translation-cache purges
-	FillDelays     uint64 // delayed MMC line fills
 	MidRemapPurges uint64 // purges inside a remap loop
-
-	// OnFault, when set, observes every delivered fault by kind
-	// ("swap_out", "shootdown", "fill_delay", "mid_remap_purge") the
-	// moment it is injected — the chaos harness annotates each as a
-	// span event so a trace shows exactly where plans fired. Set before
-	// the run; called from the simulation goroutine.
-	OnFault func(kind string)
-}
-
-// fault counts one delivered fault and notifies the observer.
-func (inj *Injector) fault(counter *uint64, kind string) {
-	*counter++
-	if inj.OnFault != nil {
-		inj.OnFault(kind)
-	}
 }
 
 // Attach wires the plan into a freshly assembled system. It must run
@@ -146,7 +188,11 @@ func (inj *Injector) fault(counter *uint64, kind string) {
 // only when free (multiprogrammed systems own it); the VM operation
 // hook is chained.
 func Attach(s *sim.System, p Plan) *Injector {
-	inj := &Injector{Plan: p, sys: s, rng: newRNG(p.Seed ^ 0xD1B54A32D192ED03)}
+	inj := &Injector{Plan: p, sys: s, injector: injector{
+		rng:         newRNG(p.Seed ^ 0xD1B54A32D192ED03),
+		delayPct:    p.FillDelayPct,
+		delayCycles: p.FillDelayCycles,
+	}}
 
 	if p.Quantum > 0 && s.CPU.OnQuantum == nil {
 		s.CPU.Quantum = p.Quantum
@@ -186,7 +232,7 @@ func (inj *Injector) onQuantum() {
 		inj.purgeAll()
 	}
 	if p.SwapOutEvery > 0 && inj.quanta%uint64(p.SwapOutEvery) == 0 {
-		inj.forceSwapOut()
+		inj.forceSwapOut(inj.sys.VM)
 	}
 }
 
@@ -201,37 +247,6 @@ func (inj *Injector) purgeAll() {
 	s.CPUTLB.PurgeAll()
 	s.ITLB.Purge()
 	s.CPU.FlushMemo()
-}
-
-// forceSwapOut pages out a random superpage, simulating the page-out
-// daemon striking under memory pressure the workload didn't create. The
-// next access to the superpage takes the MTLB fault-bit path and pages
-// back in at 4 KB grain. Kernel cycles are discarded (correctness
-// harness, not a cost model).
-func (inj *Injector) forceSwapOut() {
-	s := inj.sys
-	if !s.VM.HasShadow() {
-		return
-	}
-	sps := s.VM.Superpages()
-	if len(sps) == 0 {
-		return
-	}
-	sp := sps[inj.rng.intn(len(sps))]
-	res, err := s.VM.SwapOutSuperpage(sp, vm.PageGrain)
-	if err == nil && res.PagesExamined > 0 {
-		inj.fault(&inj.SwapOuts, "swap_out")
-	}
-}
-
-// fillDelay is the MMC hook: a random fraction of line fills take extra
-// cycles, modelling contended or refreshing DRAM.
-func (inj *Injector) fillDelay() int {
-	if inj.rng.intn(100) >= inj.Plan.FillDelayPct {
-		return 0
-	}
-	inj.fault(&inj.FillDelays, "fill_delay")
-	return inj.Plan.FillDelayCycles
 }
 
 // SMPPlan is one deterministic multicore fault schedule. Storms are the
@@ -286,28 +301,14 @@ func (p SMPPlan) String() string {
 
 // SMPInjector is a multicore plan attached to one SMPSystem.
 type SMPInjector struct {
+	injector
 	Plan SMPPlan
 
 	sys    *sim.SMPSystem
-	rng    rng
 	rounds uint64
 
-	Storms     uint64 // shootdown storms delivered
-	CPUPurges  uint64 // per-CPU translation purges across all storms
-	SwapOuts   uint64 // forced page-outs that evicted ≥ 1 page
-	FillDelays uint64 // delayed MMC line fills
-
-	// OnFault observes every delivered fault by kind ("storm",
-	// "swap_out", "fill_delay"), as in Injector.OnFault.
-	OnFault func(kind string)
-}
-
-// fault counts one delivered fault and notifies the observer.
-func (inj *SMPInjector) fault(counter *uint64, kind string) {
-	*counter++
-	if inj.OnFault != nil {
-		inj.OnFault(kind)
-	}
+	Storms    uint64 // shootdown storms delivered
+	CPUPurges uint64 // per-CPU translation purges across all storms
 }
 
 // AttachSMP wires the plan into a freshly assembled multicore system.
@@ -316,7 +317,11 @@ func (inj *SMPInjector) fault(counter *uint64, kind string) {
 // fire at round boundaries, when every CPU's thread is parked and no
 // reference or kernel operation is mid-flight.
 func AttachSMP(s *sim.SMPSystem, p SMPPlan) *SMPInjector {
-	inj := &SMPInjector{Plan: p, sys: s, rng: newRNG(p.Seed ^ 0xE7037ED1A0B428DB)}
+	inj := &SMPInjector{Plan: p, sys: s, injector: injector{
+		rng:         newRNG(p.Seed ^ 0xE7037ED1A0B428DB),
+		delayPct:    p.FillDelayPct,
+		delayCycles: p.FillDelayCycles,
+	}}
 
 	prev := s.OnQuantum
 	s.OnQuantum = func(round uint64) {
@@ -344,7 +349,7 @@ func (inj *SMPInjector) onRound() {
 		inj.storm()
 	}
 	if p.SwapOutEvery > 0 && inj.rounds%uint64(p.SwapOutEvery) == 0 {
-		inj.forceSwapOut()
+		inj.forceSwapOut(inj.sys.VMs[0])
 	}
 }
 
@@ -376,32 +381,4 @@ func (inj *SMPInjector) storm() {
 		s.Translator.PurgeAll()
 	}
 	inj.fault(&inj.Storms, "storm")
-}
-
-// forceSwapOut pages out a random superpage of the first address space;
-// on a shared space the remap path broadcasts real shootdown IPIs to
-// every other CPU mid-run.
-func (inj *SMPInjector) forceSwapOut() {
-	v := inj.sys.VMs[0]
-	if !v.HasShadow() {
-		return
-	}
-	sps := v.Superpages()
-	if len(sps) == 0 {
-		return
-	}
-	sp := sps[inj.rng.intn(len(sps))]
-	res, err := v.SwapOutSuperpage(sp, vm.PageGrain)
-	if err == nil && res.PagesExamined > 0 {
-		inj.fault(&inj.SwapOuts, "swap_out")
-	}
-}
-
-// fillDelay is the MMC hook, as in Injector.fillDelay.
-func (inj *SMPInjector) fillDelay() int {
-	if inj.rng.intn(100) >= inj.Plan.FillDelayPct {
-		return 0
-	}
-	inj.fault(&inj.FillDelays, "fill_delay")
-	return inj.Plan.FillDelayCycles
 }

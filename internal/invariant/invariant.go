@@ -270,9 +270,9 @@ func checkPTableInternal(s *sim.System) []Violation {
 	if err := s.CPU.VM.HPT.CheckConsistent(); err != nil {
 		vs = append(vs, Violation{"ptable.internal", err.Error()})
 	}
-	if s.HPT != s.CPU.VM.HPT {
-		// Multiprogrammed system: audit the descheduled tables too.
-		if err := s.HPT.CheckConsistent(); err != nil {
+	if s.VM != s.CPU.VM {
+		// Multiprogrammed system: audit process 0's table too.
+		if err := s.VM.HPT.CheckConsistent(); err != nil {
 			vs = append(vs, Violation{"ptable.internal", err.Error()})
 		}
 	}
@@ -308,7 +308,6 @@ type Options struct {
 // parallelism.
 type Checker struct {
 	check func() []Violation // full catalogue against the wired system
-	sys   *sim.System        // uniprocessor only (per-access probe)
 	opts  Options
 
 	// Passes counts completed clean audit passes.
@@ -328,12 +327,13 @@ type Checker struct {
 // operation notifications trigger audits with a doubling back-off
 // (events 1, 2, 4, ... then every 64th — fault-heavy runs generate
 // thousands of events and a full audit walks the whole shadow table),
-// and run end always audits. Existing hooks are chained, so a fault
-// injector and a checker coexist on one system; the checker runs after
-// the previous hook, auditing the state the injector left behind.
+// run end always audits, and the CPU's accesses are probed. Existing
+// hooks are chained, so a fault injector and a checker coexist on one
+// system; the checker runs after the previous hook, auditing the state
+// the injector left behind.
 func Attach(s *sim.System, opts Options) *Checker {
 	c := &Checker{check: func() []Violation { return Check(s) },
-		sys: s, opts: opts, nextPass: 1, stride: 1}
+		opts: opts, nextPass: 1, stride: 1}
 
 	prevTick := s.Kernel.OnTick
 	s.Kernel.OnTick = func() {
@@ -356,26 +356,19 @@ func Attach(s *sim.System, opts Options) *Checker {
 		}
 		c.audit("run-end")
 	}
-	if check.Enabled {
-		prevAcc := s.CPU.OnAccessCheck
-		s.CPU.OnAccessCheck = func(va arch.VAddr, real arch.PAddr) {
-			if prevAcc != nil {
-				prevAcc(va, real)
-			}
-			c.accessCheck(va, real)
-		}
-	}
+	c.probe(s.CPU)
 	return c
 }
 
 // AttachSMP wires a checker to a multicore system's hooks: timer ticks,
 // every address space's VM operation notifications, and executor round
 // boundaries trigger CheckSMP audits with the same doubling back-off as
-// Attach, and run end always audits. Round boundaries are the
-// multicore-specific safe point — every CPU's thread is parked at the
-// end of its slot, so no mutation (including a mid-IPI shootdown) is in
-// flight. Existing hooks are chained, so a multicore fault injector and
-// a checker coexist; the checker audits the state the injector left.
+// Attach, run end always audits, and every CPU's accesses are probed.
+// Round boundaries are the multicore-specific safe point — every CPU's
+// thread is parked at the end of its slot, so no mutation (including a
+// mid-IPI shootdown) is in flight. Existing hooks are chained, so a
+// multicore fault injector and a checker coexist; the checker audits
+// the state the injector left.
 func AttachSMP(s *sim.SMPSystem, opts Options) *Checker {
 	c := &Checker{check: func() []Violation { return CheckSMP(s) },
 		opts: opts, nextPass: 1, stride: 1}
@@ -410,7 +403,25 @@ func AttachSMP(s *sim.SMPSystem, opts Options) *Checker {
 		}
 		c.audit("run-end")
 	}
+	for _, p := range s.CPUs {
+		c.probe(p)
+	}
 	return c
+}
+
+// probe chains the per-access differential probe onto processor p
+// (invariants build tag only).
+func (c *Checker) probe(p *cpu.CPU) {
+	if !check.Enabled {
+		return
+	}
+	prev := p.OnAccessCheck
+	p.OnAccessCheck = func(va arch.VAddr, real arch.PAddr) {
+		if prev != nil {
+			prev(va, real)
+		}
+		c.accessCheck(p, va, real)
+	}
 }
 
 // Violations returns the breaches recorded so far (record mode).
@@ -444,12 +455,12 @@ func (c *Checker) audit(origin string) {
 }
 
 // accessCheck is the per-access differential probe (invariants build
-// tag only): the access path's resolved real address must equal what
-// the authoritative page table + shadow table give for the same
-// virtual address.
-func (c *Checker) accessCheck(va arch.VAddr, real arch.PAddr) {
+// tag only): the real address processor p's access path resolved must
+// equal what the authoritative page table + shadow table of p's
+// scheduled address space give for the same virtual address.
+func (c *Checker) accessCheck(p *cpu.CPU, va arch.VAddr, real arch.PAddr) {
 	c.AccessChecks++
-	v := c.sys.CPU.VM
+	v := p.VM
 	pte := v.HPT.LookupFast(va)
 	if pte == nil {
 		c.reportAccess(va, real, "no page-table entry covers the address")
@@ -478,7 +489,8 @@ var enableOnce sync.Once
 
 // EnableGlobalChecks attaches a panicking checker to every system
 // assembled from now on (the -check flag) — uniprocessor and multicore
-// alike. It chains any hooks already installed and is idempotent.
+// alike, exactly one per machine. It chains any hooks already installed
+// and is idempotent.
 func EnableGlobalChecks() {
 	enableOnce.Do(func() {
 		prev := sim.OnNewSystem

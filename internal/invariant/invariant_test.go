@@ -151,6 +151,58 @@ func TestSMPCleanRunPasses(t *testing.T) {
 	}
 }
 
+// TestAttachSMPProbesEveryCPU pins that the multicore checker probes
+// every processor's accesses, not only the boot processor's: on a
+// 4-CPU radixp run each CPU's probe fires and each firing is checked,
+// cleanly, and a wrong real address reported through CPU 1's probe is
+// an access.real violation.
+func TestAttachSMPProbesEveryCPU(t *testing.T) {
+	if !check.Enabled {
+		t.Skip("the per-access probe is compiled in only under the invariants build tag")
+	}
+	cfg := sim.Default().WithTLB(64).WithMTLB(core.MTLBConfig{Entries: 128, Ways: 2}).WithSMP(4)
+	w, err := exp.MakeWorkload("radixp", exp.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.NewSMP(cfg, w)
+	// A counter chained ahead of each CPU's probe sees every access the
+	// CPU reports, and remembers CPU 1's last one.
+	fired := make([]uint64, len(s.CPUs))
+	var va arch.VAddr
+	var real arch.PAddr
+	for i, c := range s.CPUs {
+		c.OnAccessCheck = func(v arch.VAddr, r arch.PAddr) {
+			fired[i]++
+			if i == 1 {
+				va, real = v, r
+			}
+		}
+	}
+	chk := AttachSMP(s, Options{})
+	s.Run()
+
+	var total uint64
+	for i, n := range fired {
+		if n == 0 {
+			t.Errorf("cpu %d reported no accesses to its probe", i)
+		}
+		total += n
+	}
+	if chk.AccessChecks == 0 || chk.AccessChecks != total {
+		t.Fatalf("checker made %d access checks, want one per probed access (%d)", chk.AccessChecks, total)
+	}
+	if vs := chk.Violations(); len(vs) != 0 {
+		t.Fatalf("clean run reported violations: %v", vs)
+	}
+
+	s.CPUs[1].OnAccessCheck(va, real^arch.PAddr(arch.PageSize))
+	vs := chk.Violations()
+	if len(vs) != 1 || vs[0].Rule != "access.real" {
+		t.Fatalf("wrong real address on cpu 1 gave %v, want one access.real violation", vs)
+	}
+}
+
 // TestSMPCorruptionsDetected plants multicore corruptions into a
 // finished parallel system and expects the per-CPU rules to fire.
 func TestSMPCorruptionsDetected(t *testing.T) {

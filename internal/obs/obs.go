@@ -23,13 +23,11 @@ type Options struct {
 	// SampleEvery is the simulated-cycle interval between time-series
 	// samples; 0 disables sampling.
 	SampleEvery uint64
-	// Timeline enables span/instant collection for trace export.
+	// Timeline enables span/instant collection for trace export. The
+	// timeline holds at most DefaultMaxTimelineEvents (a long run at
+	// paper scale can produce one span per TLB miss); events past the
+	// cap are counted as dropped, never silently ignored.
 	Timeline bool
-	// MaxTimelineEvents caps the in-memory event count (a long run at
-	// paper scale can produce one span per TLB miss). 0 selects
-	// DefaultMaxTimelineEvents; events past the cap are counted as
-	// dropped, never silently ignored.
-	MaxTimelineEvents int
 }
 
 // Obs is one observability session. A nil *Obs is the disabled session:
@@ -46,7 +44,7 @@ type Obs struct {
 func New(o Options) *Obs {
 	s := &Obs{reg: NewRegistry()}
 	if o.Timeline {
-		s.tl = NewTimeline(o.MaxTimelineEvents)
+		s.tl = NewTimeline(DefaultMaxTimelineEvents)
 	}
 	if o.SampleEvery > 0 {
 		s.smp = NewSampler(s.reg, o.SampleEvery)

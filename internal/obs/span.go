@@ -30,16 +30,16 @@ import (
 // 32 hex digits).
 type TraceID [16]byte
 
-// IsZero reports whether the ID is unset.
-func (t TraceID) IsZero() bool { return t == TraceID{} }
+// isZero reports whether the ID is unset.
+func (t TraceID) isZero() bool { return t == TraceID{} }
 
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
 // SpanID identifies one span within a trace (8 bytes, 16 hex digits).
 type SpanID [8]byte
 
-// IsZero reports whether the ID is unset.
-func (s SpanID) IsZero() bool { return s == SpanID{} }
+// isZero reports whether the ID is unset.
+func (s SpanID) isZero() bool { return s == SpanID{} }
 
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
@@ -78,15 +78,15 @@ func nextID() uint64 {
 	return x
 }
 
-// NewTraceID mints a fresh trace ID.
-func NewTraceID() (t TraceID) {
+// newTraceID mints a fresh trace ID.
+func newTraceID() (t TraceID) {
 	binary.BigEndian.PutUint64(t[:8], nextID())
 	binary.BigEndian.PutUint64(t[8:], nextID())
 	return t
 }
 
-// NewSpanID mints a fresh span ID.
-func NewSpanID() (s SpanID) {
+// newSpanID mints a fresh span ID.
+func newSpanID() (s SpanID) {
 	binary.BigEndian.PutUint64(s[:], nextID())
 	return s
 }
@@ -170,10 +170,10 @@ func (t *Tracer) StartSpan(name string, parent SpanContext) *Span {
 	}
 	s := &Span{t: t, name: name, start: time.Now(), parent: parent.Span}
 	s.ctx.Trace = parent.Trace
-	if s.ctx.Trace.IsZero() {
-		s.ctx.Trace = NewTraceID()
+	if s.ctx.Trace.isZero() {
+		s.ctx.Trace = newTraceID()
 	}
-	s.ctx.Span = NewSpanID()
+	s.ctx.Span = newSpanID()
 	return s
 }
 
@@ -238,7 +238,7 @@ func (s *Span) End() {
 		Attrs:   s.attrs,
 		Events:  s.events,
 	}
-	if !s.parent.IsZero() {
+	if !s.parent.isZero() {
 		rec.Parent = s.parent.String()
 	}
 	s.mu.Unlock()
@@ -254,9 +254,9 @@ func (t *Tracer) RecordSpan(name string, parent SpanContext, start time.Time, du
 	if t == nil {
 		return SpanContext{}
 	}
-	ctx := SpanContext{Trace: parent.Trace, Span: NewSpanID()}
-	if ctx.Trace.IsZero() {
-		ctx.Trace = NewTraceID()
+	ctx := SpanContext{Trace: parent.Trace, Span: newSpanID()}
+	if ctx.Trace.isZero() {
+		ctx.Trace = newTraceID()
 	}
 	rec := SpanRecord{
 		Trace:   ctx.Trace.String(),
@@ -266,7 +266,7 @@ func (t *Tracer) RecordSpan(name string, parent SpanContext, start time.Time, du
 		StartUS: start.UnixMicro(),
 		DurUS:   dur.Microseconds(),
 	}
-	if !parent.Span.IsZero() {
+	if !parent.Span.isZero() {
 		rec.Parent = parent.Span.String()
 	}
 	if len(attrs) >= 2 {

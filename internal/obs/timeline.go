@@ -6,8 +6,9 @@ import (
 	"sort"
 )
 
-// DefaultMaxTimelineEvents bounds in-memory timeline growth when the
-// caller does not choose a cap (~48 bytes/event, so ~100 MB at the cap).
+// DefaultMaxTimelineEvents bounds in-memory timeline growth: it is the
+// fixed cap of every session's timeline (~48 bytes/event, so ~100 MB
+// at the cap).
 const DefaultMaxTimelineEvents = 2_000_000
 
 // Event is one timeline entry in the simulated-cycle domain: a span of

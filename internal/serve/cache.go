@@ -192,8 +192,8 @@ func (c *ResultCache) Len() int {
 }
 
 // Stats returns the hit and miss counts so far. A hit is any Do served
-// without simulating here (a stored result or a coalesced wait); a miss
-// led a simulation.
+// without simulating here (a stored result, a coalesced wait or a read
+// from the disk store); a miss led a simulation.
 func (c *ResultCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -181,7 +181,7 @@ func New(cfg Config) *Server {
 		obs.Label{Key: "outcome", Value: "miss"})
 	s.reg.SetHelp("serve.jobs_submitted", "jobs accepted by admission")
 	s.reg.SetHelp("serve.jobs_rejected", "jobs rejected by the full admission queue")
-	s.reg.SetHelp("serve.cache_hits", "cell results served without simulating (stored or coalesced)")
+	s.reg.SetHelp("serve.cache_hits", "cell results served without simulating (stored, coalesced or read from the disk store)")
 	s.reg.SetHelp("serve.cache_misses", "cell results that led a simulation")
 	s.reg.SetHelp("serve.cache_outcome", "cache lookups by outcome: stored hit, coalesced onto an in-flight simulation, served from the persistent disk store, or miss")
 	s.reg.SetHelp("serve.queue_depth", "jobs admitted but not yet picked up by an executor")

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"shadowtlb/internal/core"
+	"shadowtlb/internal/obs"
 	"shadowtlb/internal/sim"
 )
 
@@ -743,7 +744,7 @@ func TestUnknownJob404(t *testing.T) {
 // wholly from disk, with no simulation, and renders the same tables.
 func TestStoreServesAfterRestart(t *testing.T) {
 	dir := t.TempDir()
-	run := func() (*Server, JobStatus) {
+	run := func() (*Server, *httptest.Server, JobStatus) {
 		s, ts := startServer(t, Config{StoreDir: dir})
 		st := waitTerminal(t, s, ts, submitOK(t, ts, JobSpec{Experiments: []string{"tlbtime"}, Scale: "small"}))
 		if st.State != StateDone {
@@ -752,13 +753,34 @@ func TestStoreServesAfterRestart(t *testing.T) {
 		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return s, st
+		return s, ts, st
 	}
-	_, first := run()
-	s, second := run()
+	_, _, first := run()
+	s, ts, second := run()
 
-	if _, _, disk, misses := s.Cache().Counters(); misses != 0 || disk == 0 {
+	_, _, disk, misses := s.Cache().Counters()
+	if misses != 0 || disk == 0 {
 		t.Errorf("restarted daemon: %d misses and %d disk hits, want 0 and at least 1", misses, disk)
+	}
+	// serve.cache_hits counts every cell served without simulating,
+	// disk-store reads included: here, exactly the disk hits.
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Body.Close()
+	var dump []obs.DumpMetric
+	if err := json.NewDecoder(mr.Body).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	hits := -1.0
+	for _, m := range dump {
+		if m.Name == "serve.cache_hits" {
+			hits = m.Value
+		}
+	}
+	if hits != float64(disk) {
+		t.Errorf("restarted daemon's serve.cache_hits = %v, want its %d disk hits", hits, disk)
 	}
 	if p := second.Progress; p.CellsTotal == 0 || p.CacheHits != p.CellsTotal {
 		t.Errorf("restarted daemon's progress %+v, want every cell a cache hit", p)

@@ -3,13 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"shadowtlb/internal/arch"
-	"shadowtlb/internal/core"
 	"shadowtlb/internal/cpu"
-	"shadowtlb/internal/kernel"
-	"shadowtlb/internal/mem"
-	"shadowtlb/internal/mmc"
-	"shadowtlb/internal/ptable"
 	"shadowtlb/internal/stats"
 	"shadowtlb/internal/vm"
 	"shadowtlb/internal/workload"
@@ -52,19 +46,17 @@ type Proc struct {
 // hardware (cache, TLB, bus, MMC/MTLB, DRAM, frame pool, shadow space)
 // and per-process address spaces (VM + hashed page table).
 type MultiSystem struct {
-	Cfg     Config
+	*machine
 	Quantum stats.Cycles
 
-	Dram   *mem.DRAM
-	Frames *mem.FrameAlloc
-	CPU    *cpu.CPU
-	MMC    *mmc.MMC
-	Kernel *kernel.Kernel
-	Procs  []*Proc
+	CPU   *cpu.CPU
+	Procs []*Proc
 }
 
 // NewMulti assembles the shared machine and one address space per
-// workload. quantum is the scheduling quantum in CPU cycles.
+// workload. quantum is the scheduling quantum in CPU cycles. Process 0
+// runs in the address space New builds, so OnNewSystem fires for the
+// machine.
 func NewMulti(cfg Config, workloads []workload.Workload, quantum stats.Cycles) *MultiSystem {
 	if len(workloads) == 0 {
 		panic("sim: no workloads")
@@ -72,38 +64,14 @@ func NewMulti(cfg Config, workloads []workload.Workload, quantum stats.Cycles) *
 	if quantum <= 0 {
 		panic("sim: non-positive quantum")
 	}
-	// Build the shared hardware exactly as New does, but with one HPT
-	// and VM per process.
-	base := New(cfg) // proc 0 uses the standard assembly
-	ms := &MultiSystem{
-		Cfg: cfg, Quantum: quantum,
-		Dram: base.Dram, Frames: base.Frames, CPU: base.CPU,
-		MMC: base.MMC, Kernel: base.Kernel,
-	}
-	ms.Procs = append(ms.Procs, &Proc{Workload: workloads[0], VM: base.VM})
-
-	for i, w := range workloads[1:] {
-		// Each further process gets its own hashed page table in a
-		// distinct kernel region, and its own VM over the shared
-		// hardware.
-		hptBase := HPTBase + arch.PAddr((i+1))*arch.PAddr(cfg.HPTEntries*ptable.EntryBytes)
-		if !ms.Dram.Contains(hptBase + arch.PAddr(cfg.HPTEntries*ptable.EntryBytes)) {
-			panic("sim: too many processes for the kernel reserve")
+	base := New(cfg)
+	ms := &MultiSystem{machine: base.machine, Quantum: quantum, CPU: base.CPU}
+	for i, w := range workloads {
+		v := base.VM
+		if i > 0 {
+			v = ms.addressSpace(i, base.CPUTLB, base.ITLB)
+			v.OnShootdown = ms.CPU.FlushMemo
 		}
-		var stable *core.ShadowTable
-		var shadowAlloc core.ShadowAllocator
-		if base.Translator != nil {
-			stable = base.Translator.Table()
-			shadowAlloc = base.VM.ShadowAlloc
-		}
-		v := vm.New(vm.Deps{
-			Dram: ms.Dram, Frames: ms.Frames,
-			HPT: ptable.New(hptBase, cfg.HPTEntries),
-			MMC: ms.MMC, Cache: base.Cache, CPUTLB: base.CPUTLB,
-			ITLB: base.ITLB, Kernel: ms.Kernel,
-			ShadowAlloc: shadowAlloc, STable: stable,
-		})
-		v.OnShootdown = ms.CPU.FlushMemo
 		ms.Procs = append(ms.Procs, &Proc{Workload: w, VM: v})
 	}
 	return ms

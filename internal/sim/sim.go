@@ -200,16 +200,19 @@ func schemeSuffix(scheme string) string {
 	return ""
 }
 
-// System is an assembled machine.
-type System struct {
+// machine is the hardware every processor and address space of an
+// assembled system shares: DRAM and its frame pool, the bus, the data
+// cache, the MMC with its translation backend, the kernel and the
+// shadow allocator. System, SMPSystem and MultiSystem each embed the
+// one assemble builds and add their processors; the machine places
+// their address spaces, collects their Results and registers the
+// shared layers' metrics.
+type machine struct {
 	Cfg    Config
 	Dram   *mem.DRAM
 	Frames *mem.FrameAlloc
 	Bus    *bus.Bus
 	Cache  *cache.Cache
-	CPUTLB *tlb.TLB
-	ITLB   *tlb.MicroITLB
-	HPT    *ptable.Table
 	// Translator is the MMC's translation backend (nil on conventional
 	// systems): the scheme the config selected, seen through the
 	// interface every consumer — MMC fill path, invariant audits, fast
@@ -217,24 +220,183 @@ type System struct {
 	Translator core.Translator
 	MMC        *mmc.MMC
 	Kernel     *kernel.Kernel
-	VM         *vm.VM
-	CPU        *cpu.CPU
+
+	shadowAlloc core.ShadowAllocator // nil on conventional systems
+	obs         *obs.Obs             // attached session, nil when unobserved
+}
+
+// assemble builds the shared hardware for a configuration.
+func assemble(cfg Config) *machine {
+	if cfg.DRAMBytes == 0 {
+		panic("sim: zero DRAM")
+	}
+	if uint64(cfg.ShadowSpace.Base) < cfg.DRAMBytes {
+		panic(fmt.Sprintf("sim: shadow space at %v overlaps %d MB of DRAM",
+			cfg.ShadowSpace.Base, cfg.DRAMBytes/arch.MB))
+	}
+	m := &machine{
+		Cfg:    cfg,
+		Dram:   mem.NewDRAM(cfg.DRAMBytes),
+		Bus:    bus.New(cfg.Bus),
+		Cache:  cache.New(cfg.Cache),
+		Kernel: kernel.New(cfg.Costs),
+	}
+	userFrames := (cfg.DRAMBytes - UserFrameBase) / arch.PageSize
+	if cfg.MaxUserFrames > 0 && cfg.MaxUserFrames < userFrames {
+		userFrames = cfg.MaxUserFrames
+	}
+	m.Frames = mem.NewFrameAlloc(UserFrameBase/arch.PageSize, userFrames, cfg.AllocOrder)
+
+	if cfg.MTLB != nil {
+		// Normalize here, at the single point every entry path funnels
+		// through, so flag-derived geometries (e.g. -ways larger than
+		// -mtlb) mean the same thing in every command.
+		mcfg := *cfg.MTLB
+		mcfg.Normalize()
+		tr, err := core.NewTranslator(cfg.Scheme, mcfg, core.TranslatorDeps{
+			Table: core.NewShadowTable(cfg.ShadowSpace, ShadowTableBase, m.Dram),
+			Cache: m.Cache,
+			Costs: cfg.MMCTiming.TranslatorCosts(),
+		})
+		if err != nil {
+			panic("sim: " + err.Error())
+		}
+		m.Translator = tr
+		if cfg.UseBuddy {
+			m.shadowAlloc = core.NewBuddyAlloc(cfg.ShadowSpace)
+		} else {
+			part := cfg.Partition
+			if part == nil {
+				part = core.DefaultPartition()
+			}
+			m.shadowAlloc = core.NewBucketAlloc(cfg.ShadowSpace, part)
+		}
+	}
+	m.MMC = mmc.New(mmc.Config{
+		Timing:        cfg.MMCTiming,
+		NoCheckCycle:  cfg.NoCheckCycle,
+		StreamBuffers: cfg.StreamBuffers,
+		DRAMBanks:     cfg.DRAMBanks,
+	}, m.Bus, m.Translator)
+	return m
+}
+
+// addressSpace builds address space slot over the shared hardware, on
+// the TLB pair of the processor that first runs in it. Its hashed page
+// table is the slot-th one up from HPTBase in the kernel reserve; every
+// space shares the shadow table and allocator.
+func (m *machine) addressSpace(slot int, t *tlb.TLB, it *tlb.MicroITLB) *vm.VM {
+	size := arch.PAddr(m.Cfg.HPTEntries * ptable.EntryBytes)
+	base := HPTBase + arch.PAddr(slot)*size
+	if !m.Dram.Contains(base + size) {
+		panic("sim: too many address spaces for the kernel reserve")
+	}
+	var stable *core.ShadowTable
+	if m.Translator != nil {
+		stable = m.Translator.Table()
+	}
+	return vm.New(vm.Deps{
+		Dram: m.Dram, Frames: m.Frames, HPT: ptable.New(base, m.Cfg.HPTEntries),
+		MMC: m.MMC, Cache: m.Cache, CPUTLB: t, ITLB: it, Kernel: m.Kernel,
+		ShadowAlloc: m.shadowAlloc, STable: stable,
+	})
+}
+
+// newCPU wires a processor on its own TLB pair over address space v.
+func (m *machine) newCPU(v *vm.VM, t *tlb.TLB, it *tlb.MicroITLB) *cpu.CPU {
+	return cpu.NewOnTLBs(cpu.Config{
+		TLBEntries:   m.Cfg.CPUTLBEntries,
+		TextPages:    m.Cfg.TextPages,
+		IFetchPeriod: m.Cfg.IFetchPeriod,
+		NoFastPath:   m.Cfg.NoFastPath,
+	}, v, t, it)
+}
+
+// result collects the measurements of a finished run of the named
+// workload on the given processors and address spaces: cycles,
+// instructions and TLB lookups summed over the processors, the largest
+// TLB reach any of them reached, misses, faults and superpage counts
+// summed over the address spaces, and the shared layers' figures.
+func (m *machine) result(name string, cpus []*cpu.CPU, vms []*vm.VM) Result {
+	res := Result{
+		Label:        m.Cfg.Label,
+		Workload:     name,
+		CacheHitRate: m.Cache.Stats.Rate(),
+		Fills:        m.MMC.Fills,
+		StreamHits:   m.MMC.StreamHits(),
+		AvgFillMMC:   m.MMC.AvgFillMMCCycles(),
+		RowHitRate:   m.MMC.RowHitRate(),
+	}
+	var lookups stats.HitMiss
+	for _, c := range cpus {
+		res.Breakdown.Add(c.Breakdown)
+		res.Instructions += c.Instructions
+		lookups.Hits += c.TLB.Stats.Hits
+		lookups.Misses += c.TLB.Stats.Misses
+		res.CPUTLBReachPeak = max(res.CPUTLBReachPeak, c.TLB.Reach())
+	}
+	res.TLBHitRate = lookups.Rate()
+	for _, v := range vms {
+		res.TLBMisses += v.TLBMisses
+		res.PageFaults += v.PageFaults
+	}
+	if m.Translator != nil {
+		c := m.Translator.Counters()
+		res.HasMTLB = true
+		res.Scheme = m.Translator.Scheme()
+		res.MTLBHitRate = c.HitRate()
+		res.MTLBFills = c.Fills
+		for _, v := range vms {
+			res.SuperpagesMade += v.SuperpagesMade
+			res.PagesRemapped += v.PagesRemapped
+		}
+	}
+	return res
+}
+
+// observe attaches an observability session: the boot processor cpu0
+// drives the timeline's clock, and it, address space vm0 and every
+// shared layer register their metrics and take their instrument
+// pointers.
+func (m *machine) observe(o *obs.Obs, cpu0 *cpu.CPU, vm0 *vm.VM) {
+	m.obs = o
+	if tl := o.Timeline(); tl != nil {
+		tl.Now = func() uint64 { return uint64(cpu0.Cycles()) }
+	}
+	r := o.Registry()
+	cpu0.TLB.RegisterMetrics(r, "tlb")
+	m.Cache.RegisterMetrics(r)
+	m.Kernel.RegisterMetrics(r)
+	if m.Translator != nil {
+		m.Translator.RegisterMetrics(r)
+	}
+	m.MMC.Observe(o)
+	vm0.Observe(o)
+	cpu0.Observe(o)
+}
+
+// System is an assembled uniprocessor: one CPU in one address space.
+type System struct {
+	*machine
+	CPUTLB *tlb.TLB       // the CPU's TLB
+	ITLB   *tlb.MicroITLB // and micro-ITLB
+	VM     *vm.VM
+	CPU    *cpu.CPU
 
 	// OnRunEnd, when set, fires at the end of Run after the workload and
 	// process exit complete, before the result is returned — the
 	// invariant harness's final whole-machine audit point.
 	OnRunEnd func()
-
-	obs *obs.Obs // attached session, nil when unobserved
 }
 
 // OnNewSystem, when set, is invoked with every system New assembles,
-// immediately after wiring completes. The invariant harness installs
-// itself here so a single -check flag covers every entry path — direct
-// sims, runner pools, and serve jobs — without touching Config (cell
-// cache keys must not change). Runner pools assemble systems from
-// multiple goroutines, so the hook must be safe for concurrent calls;
-// set it before any simulation starts.
+// immediately after wiring completes — uniprocessors, and through New
+// the multiprogrammed machines. The invariant harness installs itself
+// here so a single -check flag covers every entry path — direct sims,
+// runner pools, and serve jobs — without touching Config (cell cache
+// keys must not change). Runner pools assemble systems from multiple
+// goroutines, so the hook must be safe for concurrent calls; set it
+// before any simulation starts.
 var OnNewSystem func(*System)
 
 // Observe attaches an observability session to an assembled machine:
@@ -244,93 +406,20 @@ var OnNewSystem func(*System)
 // leaves the system unobserved. Observing does not perturb simulated
 // timing: every metric reads state the machine already maintains.
 func (s *System) Observe(o *obs.Obs) {
-	if o == nil {
-		return
+	if o != nil {
+		s.observe(o, s.CPU, s.VM)
 	}
-	s.obs = o
-	if tl := o.Timeline(); tl != nil {
-		tl.Now = func() uint64 { return uint64(s.CPU.Cycles()) }
-	}
-	r := o.Registry()
-	s.CPUTLB.RegisterMetrics(r, "tlb")
-	s.Cache.RegisterMetrics(r)
-	s.Kernel.RegisterMetrics(r)
-	if s.Translator != nil {
-		s.Translator.RegisterMetrics(r)
-	}
-	s.MMC.Observe(o)
-	s.VM.Observe(o)
-	s.CPU.Observe(o)
 }
 
 // New assembles a machine from the configuration.
 func New(cfg Config) *System {
-	if cfg.DRAMBytes == 0 {
-		panic("sim: zero DRAM")
+	s := &System{
+		machine: assemble(cfg),
+		CPUTLB:  tlb.New(tlb.FullyAssociative(cfg.CPUTLBEntries)),
+		ITLB:    &tlb.MicroITLB{},
 	}
-	if uint64(cfg.ShadowSpace.Base) < cfg.DRAMBytes {
-		panic(fmt.Sprintf("sim: shadow space at %v overlaps %d MB of DRAM",
-			cfg.ShadowSpace.Base, cfg.DRAMBytes/arch.MB))
-	}
-	s := &System{Cfg: cfg}
-	s.Dram = mem.NewDRAM(cfg.DRAMBytes)
-	userFrames := (cfg.DRAMBytes - UserFrameBase) / arch.PageSize
-	if cfg.MaxUserFrames > 0 && cfg.MaxUserFrames < userFrames {
-		userFrames = cfg.MaxUserFrames
-	}
-	s.Frames = mem.NewFrameAlloc(UserFrameBase/arch.PageSize, userFrames, cfg.AllocOrder)
-	s.Bus = bus.New(cfg.Bus)
-	s.Cache = cache.New(cfg.Cache)
-	s.CPUTLB = tlb.New(tlb.FullyAssociative(cfg.CPUTLBEntries))
-	s.ITLB = &tlb.MicroITLB{}
-	s.HPT = ptable.New(HPTBase, cfg.HPTEntries)
-	s.Kernel = kernel.New(cfg.Costs)
-
-	var stable *core.ShadowTable
-	var shadowAlloc core.ShadowAllocator
-	if cfg.MTLB != nil {
-		stable = core.NewShadowTable(cfg.ShadowSpace, ShadowTableBase, s.Dram)
-		// Normalize here, at the single point every entry path funnels
-		// through, so flag-derived geometries (e.g. -ways larger than
-		// -mtlb) mean the same thing in every command.
-		mcfg := *cfg.MTLB
-		mcfg.Normalize()
-		tr, err := core.NewTranslator(cfg.Scheme, mcfg, core.TranslatorDeps{
-			Table: stable,
-			Cache: s.Cache,
-			Costs: cfg.MMCTiming.TranslatorCosts(),
-		})
-		if err != nil {
-			panic("sim: " + err.Error())
-		}
-		s.Translator = tr
-		if cfg.UseBuddy {
-			shadowAlloc = core.NewBuddyAlloc(cfg.ShadowSpace)
-		} else {
-			part := cfg.Partition
-			if part == nil {
-				part = core.DefaultPartition()
-			}
-			shadowAlloc = core.NewBucketAlloc(cfg.ShadowSpace, part)
-		}
-	}
-	s.MMC = mmc.New(mmc.Config{
-		Timing:        cfg.MMCTiming,
-		NoCheckCycle:  cfg.NoCheckCycle,
-		StreamBuffers: cfg.StreamBuffers,
-		DRAMBanks:     cfg.DRAMBanks,
-	}, s.Bus, s.Translator)
-	s.VM = vm.New(vm.Deps{
-		Dram: s.Dram, Frames: s.Frames, HPT: s.HPT, MMC: s.MMC,
-		Cache: s.Cache, CPUTLB: s.CPUTLB, ITLB: s.ITLB, Kernel: s.Kernel,
-		ShadowAlloc: shadowAlloc, STable: stable,
-	})
-	s.CPU = cpu.New(cpu.Config{
-		TLBEntries:   cfg.CPUTLBEntries,
-		TextPages:    cfg.TextPages,
-		IFetchPeriod: cfg.IFetchPeriod,
-		NoFastPath:   cfg.NoFastPath,
-	}, s.VM)
+	s.VM = s.addressSpace(0, s.CPUTLB, s.ITLB)
+	s.CPU = s.newCPU(s.VM, s.CPUTLB, s.ITLB)
 	// Explicit shootdown hook: OS translation changes drop the CPU's
 	// fast-path memo directly, on top of the generation checks.
 	s.VM.OnShootdown = s.CPU.FlushMemo
@@ -404,30 +493,7 @@ func (s *System) Run(w workload.Workload) Result {
 		s.OnRunEnd()
 	}
 
-	res := Result{
-		Label:        s.Cfg.Label,
-		Workload:     w.Name(),
-		Breakdown:    s.CPU.Breakdown,
-		Instructions: s.CPU.Instructions,
-		TLBMisses:    s.VM.TLBMisses,
-		TLBHitRate:   s.CPUTLB.Stats.Rate(),
-		CacheHitRate: s.Cache.Stats.Rate(),
-		PageFaults:   s.VM.PageFaults,
-		Fills:        s.MMC.Fills,
-		StreamHits:   s.MMC.StreamHits(),
-		AvgFillMMC:   s.MMC.AvgFillMMCCycles(),
-		RowHitRate:   s.MMC.RowHitRate(),
-	}
-	if s.Translator != nil {
-		c := s.Translator.Counters()
-		res.HasMTLB = true
-		res.Scheme = s.Translator.Scheme()
-		res.MTLBHitRate = c.HitRate()
-		res.MTLBFills = c.Fills
-		res.SuperpagesMade = s.VM.SuperpagesMade
-		res.PagesRemapped = s.VM.PagesRemapped
-	}
-	res.CPUTLBReachPeak = s.CPUTLB.Reach()
+	res := s.result(w.Name(), []*cpu.CPU{s.CPU}, []*vm.VM{s.VM})
 	// Close out the time series at the run's final cycle so the last
 	// partial interval is covered.
 	s.obs.Sampler().Final(uint64(s.CPU.Cycles()))

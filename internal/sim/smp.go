@@ -4,16 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
-	"shadowtlb/internal/arch"
-	"shadowtlb/internal/bus"
-	"shadowtlb/internal/cache"
-	"shadowtlb/internal/core"
 	"shadowtlb/internal/cpu"
-	"shadowtlb/internal/kernel"
-	"shadowtlb/internal/mem"
-	"shadowtlb/internal/mmc"
 	"shadowtlb/internal/obs"
-	"shadowtlb/internal/ptable"
 	"shadowtlb/internal/stats"
 	"shadowtlb/internal/tlb"
 	"shadowtlb/internal/vm"
@@ -39,25 +31,16 @@ import (
 //     cross-CPU shootdowns arise; pressure on the shared MTLB and bus
 //     is the object of study.
 //
-// Any other workload runs serially on CPU 0 with the remaining CPUs
-// idle.
+// Any other workload runs as a one-member mix: serially on CPU 0, with
+// the remaining CPUs idle.
 //
 // The executor (executor.go, DESIGN §17) runs each CPU's thread on the
 // CPU's timing model directly, one thread at a time, in slots of a
 // fixed per-round arbitration order, so results are bit-identical for
 // any GOMAXPROCS.
 type SMPSystem struct {
-	Cfg Config
-	N   int
-
-	Dram       *mem.DRAM
-	Frames     *mem.FrameAlloc
-	Bus        *bus.Bus
-	Cache      *cache.Cache
-	HPT        *ptable.Table
-	Translator core.Translator
-	MMC        *mmc.MMC
-	Kernel     *kernel.Kernel
+	*machine
+	N int
 
 	// CPUs are the processors; CPUs[i].TLB and .ITLB are private.
 	CPUs []*cpu.CPU
@@ -70,8 +53,7 @@ type SMPSystem struct {
 	// Per-CPU accounting maintained by the executor.
 	Idle     []stats.Cycles // cycles idle at barriers (not in Breakdown)
 	BusStall []stats.Cycles // contention stalls (also in Breakdown.Memory)
-	IPIsSent []uint64
-	IPIsRecv []uint64
+	IPIsRecv []uint64       // shootdown IPIs received
 
 	// MachineCycles is the simulated wall clock after Run: the slowest
 	// processor's completion time including barrier idling.
@@ -89,7 +71,6 @@ type SMPSystem struct {
 	threads []smpThread // one per CPU: its program and address spaces
 	ran     bool
 	cur     int // CPU whose thread holds the machine
-	obs     *obs.Obs
 }
 
 // smpThread is the program one CPU executes: in shared mode a single
@@ -102,7 +83,8 @@ type smpThread struct {
 
 // OnNewSMPSystem, when set, is invoked with every multicore system
 // NewSMP assembles, immediately after wiring completes — the multicore
-// twin of OnNewSystem, with the same concurrency contract.
+// twin of OnNewSystem, which NewSMP does not fire, with the same
+// concurrency contract.
 var OnNewSMPSystem func(*SMPSystem)
 
 // NewSMP assembles the multicore machine for the given workload. The
@@ -116,92 +98,58 @@ func NewSMP(cfg Config, w workload.Workload) *SMPSystem {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: bad CPU count %d", n))
 	}
-
-	base := New(cfg) // CPU 0 and the shared substrate use the standard assembly
 	s := &SMPSystem{
-		Cfg: cfg, N: n,
-		Dram: base.Dram, Frames: base.Frames, Bus: base.Bus,
-		Cache: base.Cache, HPT: base.HPT, Translator: base.Translator,
-		MMC: base.MMC, Kernel: base.Kernel,
-		CPUs:     []*cpu.CPU{base.CPU},
+		machine:  assemble(cfg),
+		N:        n,
 		Idle:     make([]stats.Cycles, n),
 		BusStall: make([]stats.Cycles, n),
-		IPIsSent: make([]uint64, n),
 		IPIsRecv: make([]uint64, n),
 		w:        w,
+		threads:  make([]smpThread, n),
+	}
+	// Every processor starts in address space 0, which is built on the
+	// boot processor's TLB pair.
+	var vm0 *vm.VM
+	for i := 0; i < n; i++ {
+		t, it := tlb.New(tlb.FullyAssociative(cfg.CPUTLBEntries)), &tlb.MicroITLB{}
+		if i == 0 {
+			vm0 = s.addressSpace(0, t, it)
+		}
+		s.CPUs = append(s.CPUs, s.newCPU(vm0, t, it))
 	}
 
-	ccfg := cpu.Config{
-		TLBEntries:   cfg.CPUTLBEntries,
-		TextPages:    cfg.TextPages,
-		IFetchPeriod: cfg.IFetchPeriod,
-		NoFastPath:   cfg.NoFastPath,
-	}
-	for i := 1; i < n; i++ {
-		t := tlb.New(tlb.FullyAssociative(cfg.CPUTLBEntries))
-		it := &tlb.MicroITLB{}
-		s.CPUs = append(s.CPUs, cpu.NewOnTLBs(ccfg, base.VM, t, it))
-	}
-
-	switch pw := w.(type) {
-	case workload.Parallel:
-		_ = pw
+	if _, ok := w.(workload.Parallel); ok {
 		s.Shared = true
-		s.VMs = []*vm.VM{base.VM}
+		s.VMs = []*vm.VM{vm0}
 		// Every processor's TLB pair consumes the shared address space:
 		// remap and recolor purge the affected range on all of them,
 		// and the shootdown hook below charges the IPI round.
-		for i := 1; i < n; i++ {
-			base.VM.AddPeerTLB(s.CPUs[i].TLB, s.CPUs[i].ITLB)
+		for _, c := range s.CPUs[1:] {
+			vm0.AddPeerTLB(c.TLB, c.ITLB)
 		}
-		base.VM.OnShootdown = s.shootdownIPI
-		s.threads = make([]smpThread, n)
-	case workload.Multi:
-		members := pw.Members()
-		s.threads = make([]smpThread, n)
-		for m, mw := range members {
-			i := m % n
-			v := base.VM
-			if m > 0 {
-				// Each further process gets its own hashed page table
-				// in a distinct kernel region and its own VM over the
-				// shared hardware, with the owning CPU's TLB pair.
-				hptBase := HPTBase + arch.PAddr(m)*arch.PAddr(cfg.HPTEntries*ptable.EntryBytes)
-				if !s.Dram.Contains(hptBase + arch.PAddr(cfg.HPTEntries*ptable.EntryBytes)) {
-					panic("sim: too many mix members for the kernel reserve")
-				}
-				var stable *core.ShadowTable
-				var shadowAlloc core.ShadowAllocator
-				if base.Translator != nil {
-					stable = base.Translator.Table()
-					shadowAlloc = base.VM.ShadowAlloc
-				}
-				v = vm.New(vm.Deps{
-					Dram: s.Dram, Frames: s.Frames,
-					HPT: ptable.New(hptBase, cfg.HPTEntries),
-					MMC: s.MMC, Cache: s.Cache,
-					CPUTLB: s.CPUs[i].TLB, ITLB: s.CPUs[i].ITLB,
-					Kernel:      s.Kernel,
-					ShadowAlloc: shadowAlloc, STable: stable,
-				})
+		vm0.OnShootdown = s.shootdownIPI
+	} else {
+		// Mix member k runs on CPU k mod N. Any other workload is a
+		// one-member mix: CPU 0 runs it in address space 0.
+		members := []workload.Workload{w}
+		if mw, ok := w.(workload.Multi); ok {
+			members = mw.Members()
+		}
+		for k, mw := range members {
+			c, th := s.CPUs[k%n], &s.threads[k%n]
+			v := vm0
+			if k > 0 {
+				// Each further member gets its own address space on its
+				// CPU's TLB pair.
+				v = s.addressSpace(k, c.TLB, c.ITLB)
 			}
 			// Private address space: translation changes concern only
-			// the owning CPU's memo. (Member 0 reuses base.VM, whose
-			// hook New pointed at CPU 0 — the owning CPU.)
-			v.OnShootdown = s.CPUs[i].FlushMemo
+			// the owning CPU's memo.
+			v.OnShootdown = c.FlushMemo
 			s.VMs = append(s.VMs, v)
-			s.threads[i].members = append(s.threads[i].members, mw)
-			s.threads[i].vms = append(s.threads[i].vms, v)
+			th.members = append(th.members, mw)
+			th.vms = append(th.vms, v)
 		}
-		if len(members) > 0 && len(s.threads[0].vms) > 0 && s.threads[0].vms[0] != base.VM {
-			panic("sim: mix member 0 must run on CPU 0")
-		}
-	default:
-		// Serial workload: CPU 0 runs it alone, the rest stay idle.
-		s.VMs = []*vm.VM{base.VM}
-		s.threads = make([]smpThread, n)
-		s.threads[0].members = []workload.Workload{w}
-		s.threads[0].vms = []*vm.VM{base.VM}
 	}
 
 	if OnNewSMPSystem != nil {
@@ -231,7 +179,6 @@ func (s *SMPSystem) shootdownIPI() {
 		s.CPUs[j].FlushMemo()
 		s.CPUs[i].Charge(stats.Cycles(c.ShootdownIPI), cpu.KernelTime)
 		s.CPUs[j].Charge(stats.Cycles(c.ShootdownAck), cpu.KernelTime)
-		s.IPIsSent[i]++
 		s.IPIsRecv[j]++
 	}
 }
@@ -254,66 +201,19 @@ func (s *SMPSystem) Run() Result {
 		s.OnRunEnd()
 	}
 
-	var bd stats.Breakdown
-	var instr uint64
-	var th stats.HitMiss
-	var reach uint64
-	for i, c := range s.CPUs {
-		bd.Add(c.Breakdown)
-		instr += c.Instructions
-		th.Hits += c.TLB.Stats.Hits
-		th.Misses += c.TLB.Stats.Misses
-		if r := c.TLB.Reach(); r > reach {
-			reach = r
-		}
-		if cl := s.clock(i); cl > s.MachineCycles {
-			s.MachineCycles = cl
-		}
-	}
-	res := Result{
-		Label:        s.Cfg.Label,
-		Workload:     s.w.Name(),
-		Breakdown:    bd,
-		Instructions: instr,
-		TLBHitRate:   th.Rate(),
-		CacheHitRate: s.Cache.Stats.Rate(),
-		Fills:        s.MMC.Fills,
-		StreamHits:   s.MMC.StreamHits(),
-		AvgFillMMC:   s.MMC.AvgFillMMCCycles(),
-		RowHitRate:   s.MMC.RowHitRate(),
-	}
-	for _, v := range s.VMs {
-		res.TLBMisses += v.TLBMisses
-		res.PageFaults += v.PageFaults
-	}
-	if s.Translator != nil {
-		c := s.Translator.Counters()
-		res.HasMTLB = true
-		res.Scheme = s.Translator.Scheme()
-		res.MTLBHitRate = c.HitRate()
-		res.MTLBFills = c.Fills
-		for _, v := range s.VMs {
-			res.SuperpagesMade += v.SuperpagesMade
-			res.PagesRemapped += v.PagesRemapped
-		}
-	}
-	res.CPUTLBReachPeak = reach
+	res := s.result(s.w.Name(), s.CPUs, s.VMs)
 	res.CPUs = s.N
-	res.MachineCycles = s.MachineCycles
-	res.MaxCPUCycles = 0
 	res.MinCPUCycles = ^uint64(0)
-	for i := range s.CPUs {
-		w := uint64(s.CPUs[i].Breakdown.Total())
-		if w > res.MaxCPUCycles {
-			res.MaxCPUCycles = w
-		}
-		if w < res.MinCPUCycles {
-			res.MinCPUCycles = w
-		}
+	for i, c := range s.CPUs {
+		s.MachineCycles = max(s.MachineCycles, s.clock(i))
+		w := uint64(c.Breakdown.Total())
+		res.MaxCPUCycles = max(res.MaxCPUCycles, w)
+		res.MinCPUCycles = min(res.MinCPUCycles, w)
 		res.IPIs += s.IPIsRecv[i]
 		res.BusStallCycles += uint64(s.BusStall[i])
 		res.BarrierCycles += uint64(s.Idle[i])
 	}
+	res.MachineCycles = s.MachineCycles
 	s.obs.Sampler().Final(s.MachineCycles)
 	return res
 }
@@ -326,20 +226,8 @@ func (s *SMPSystem) Observe(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	s.obs = o
-	if tl := o.Timeline(); tl != nil {
-		tl.Now = func() uint64 { return uint64(s.CPUs[0].Cycles()) }
-	}
+	s.observe(o, s.CPUs[0], s.VMs[0])
 	r := o.Registry()
-	s.CPUs[0].TLB.RegisterMetrics(r, "tlb")
-	s.Cache.RegisterMetrics(r)
-	s.Kernel.RegisterMetrics(r)
-	if s.Translator != nil {
-		s.Translator.RegisterMetrics(r)
-	}
-	s.MMC.Observe(o)
-	s.VMs[0].Observe(o)
-	s.CPUs[0].Observe(o)
 	for i := range s.CPUs {
 		i := i
 		l := obs.Label{Key: "cpu", Value: strconv.Itoa(i)}

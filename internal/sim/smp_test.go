@@ -116,3 +116,39 @@ func (failingParallel) RunThread(env workload.Env, t, n int) {
 func TestSMPThreadPanicReachesCaller(t *testing.T) {
 	checkThreadPanic(t, "thread 1 fails", func() { RunSMP(smpConfig(4), failingParallel{}) })
 }
+
+// TestAssemblyHooksFireOncePerMachine pins which assembly hook each
+// machine fires: a uniprocessor and a multiprogrammed machine fire
+// OnNewSystem once, a multicore machine OnNewSMPSystem once, whatever
+// its workload's shape, and no machine fires the other hook. The
+// invariant harness relies on this to audit each machine with exactly
+// one checker.
+func TestAssemblyHooksFireOncePerMachine(t *testing.T) {
+	prev, prevSMP := OnNewSystem, OnNewSMPSystem
+	defer func() { OnNewSystem, OnNewSMPSystem = prev, prevSMP }()
+	var uni, smp int
+	OnNewSystem = func(*System) { uni++ }
+	OnNewSMPSystem = func(*SMPSystem) { smp++ }
+
+	two := func() []workload.Workload {
+		return []workload.Workload{radix.New(radix.SmallConfig()), em3d.New(em3d.SmallConfig())}
+	}
+	for _, tc := range []struct {
+		name     string
+		assemble func()
+		uni, smp int
+	}{
+		{"New", func() { New(small()) }, 1, 0},
+		{"NewMulti", func() { NewMulti(small(), two(), 100_000) }, 1, 0},
+		{"NewSMP/parallel", func() { NewSMP(smpConfig(4), radix.NewParallel(radix.SmallConfig())) }, 0, 1},
+		{"NewSMP/mix", func() { NewSMP(smpConfig(4), workload.NewMix("mix", two()...)) }, 0, 1},
+		{"NewSMP/serial", func() { NewSMP(smpConfig(4), radix.New(radix.SmallConfig())) }, 0, 1},
+	} {
+		uni, smp = 0, 0
+		tc.assemble()
+		if uni != tc.uni || smp != tc.smp {
+			t.Errorf("%s fired OnNewSystem %d and OnNewSMPSystem %d times, want %d and %d",
+				tc.name, uni, smp, tc.uni, tc.smp)
+		}
+	}
+}
